@@ -53,6 +53,14 @@ struct RobustnessSample {
   std::uint64_t heals_applied = 0;
 };
 
+/// Register the robustness metric family (ecocloud_checkpoint*_,
+/// ecocloud_audit*_) over \p sample, which is polled when an exporter
+/// reads \p registry. Shared by single-calendar instrumentation and the
+/// sharded coordinator, so both export the same series names.
+void register_robustness(MetricRegistry& registry,
+                         std::function<RobustnessSample()> sample,
+                         const Labels& labels = {});
+
 /// Identity of the shard an Instrumentation observes. A sharded run gives
 /// every shard its own Instrumentation over ONE shared registry: the
 /// shard label keeps the series apart, the pid offset keeps the trace

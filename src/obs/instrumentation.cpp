@@ -520,30 +520,36 @@ void Instrumentation::attach_faults(const faults::FaultInjector& injector) {
       "Accumulated VM downtime attributed to faults");
 }
 
-void Instrumentation::attach_robustness(std::function<RobustnessSample()> sample) {
+void register_robustness(MetricRegistry& registry,
+                         std::function<RobustnessSample()> sample,
+                         const Labels& labels) {
   const auto poll =
       std::make_shared<std::function<RobustnessSample()>>(std::move(sample));
-  registry_.counter_fn(
+  registry.counter_fn(
       "ecocloud_checkpoints_written_total",
-      [poll] { return (*poll)().checkpoints_written; }, labels({}),
+      [poll] { return (*poll)().checkpoints_written; }, labels,
       "Crash-safe snapshots written");
-  registry_.gauge_fn(
+  registry.gauge_fn(
       "ecocloud_checkpoint_bytes_last",
       [poll] { return static_cast<double>((*poll)().snapshot_bytes_last); },
-      labels({}), "Payload size of the most recent snapshot");
-  registry_.gauge_fn(
+      labels, "Payload size of the most recent snapshot");
+  registry.gauge_fn(
       "ecocloud_checkpoint_save_seconds_total",
-      [poll] { return (*poll)().save_wall_seconds_total; }, labels({}),
+      [poll] { return (*poll)().save_wall_seconds_total; }, labels,
       "Wall-clock time spent writing snapshots");
-  registry_.counter_fn(
+  registry.counter_fn(
       "ecocloud_audits_run_total", [poll] { return (*poll)().audits_run; },
-      labels({}), "Invariant audits executed");
-  registry_.counter_fn(
+      labels, "Invariant audits executed");
+  registry.counter_fn(
       "ecocloud_audits_failed_total", [poll] { return (*poll)().audits_failed; },
-      labels({}), "Invariant audits that found at least one violation");
-  registry_.counter_fn(
+      labels, "Invariant audits that found at least one violation");
+  registry.counter_fn(
       "ecocloud_audit_heals_total", [poll] { return (*poll)().heals_applied; },
-      labels({}), "Cache-rebuild heal actions applied by the auditor");
+      labels, "Cache-rebuild heal actions applied by the auditor");
+}
+
+void Instrumentation::attach_robustness(std::function<RobustnessSample()> sample) {
+  register_robustness(registry_, std::move(sample), labels({}));
 }
 
 void Instrumentation::start_flush(sim::Simulator& simulator,

@@ -10,9 +10,16 @@ std::vector<metrics::Event> merge_event_streams(
     const std::vector<EventStream>& streams) {
   std::size_t total = 0;
   for (const EventStream& stream : streams) total += stream.events->size();
-
   std::vector<metrics::Event> merged;
   merged.reserve(total);
+  for_each_merged_event(
+      streams, [&merged](const metrics::Event& e) { merged.push_back(e); });
+  return merged;
+}
+
+void for_each_merged_event(
+    const std::vector<EventStream>& streams,
+    const std::function<void(const metrics::Event&)>& emit) {
   std::vector<std::size_t> pos(streams.size(), 0);
   for (;;) {
     std::size_t best = streams.size();
@@ -29,11 +36,9 @@ std::vector<metrics::Event> merge_event_streams(
     }
     if (best == streams.size()) break;
     const metrics::Event& raw = (*streams[best].events)[pos[best]];
-    merged.push_back(streams[best].translate ? streams[best].translate(raw)
-                                             : raw);
+    emit(streams[best].translate ? streams[best].translate(raw) : raw);
     ++pos[best];
   }
-  return merged;
 }
 
 void write_merged_events_csv(std::ostream& out,

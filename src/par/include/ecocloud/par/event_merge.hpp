@@ -33,6 +33,12 @@ struct EventStream {
 [[nodiscard]] std::vector<metrics::Event> merge_event_streams(
     const std::vector<EventStream>& streams);
 
+/// The same merge, handing each translated row to \p emit in order
+/// instead of materializing the merged vector.
+void for_each_merged_event(
+    const std::vector<EventStream>& streams,
+    const std::function<void(const metrics::Event&)>& emit);
+
 /// Write \p events in metrics::EventLog::write_csv's exact row format
 /// (header, precision, -1 sentinels) so K=1 reproduces its bytes.
 void write_merged_events_csv(std::ostream& out,

@@ -1,43 +1,34 @@
 #pragma once
 
 /// \file shard.hpp
-/// \brief One shard of a sharded daily run: a complete, self-contained
-/// single-threaded simulation of its slice of the fleet.
+/// \brief One shard of a sharded daily run: a scenario::DailyScenario over
+/// its slice of the fleet, plus the little state that only sharding needs.
 ///
-/// A shard owns everything the single-threaded engine owns — slab event
-/// calendar (sim::Simulator), datacenter subset, trace driver, ecoCloud
-/// controller with its own RNG streams, metrics collector, event-log
-/// segment — and its workload source is one of two (DESIGN.md §14/§17):
+/// The DailyScenario owns everything a single-calendar run owns — slab
+/// event calendar, datacenter slice, trace driver, ecoCloud controller with
+/// its own RNG streams, metrics collector, fault injector — and is built
+/// over the shard's FleetSlice (DESIGN.md §12), so the fleet, seed
+/// derivation and fault localization exist in one place. Its workload
+/// source is one of two (DESIGN.md §14/§17):
 ///  * materialized: all shards share one immutable TraceSet (read-only,
 ///    so thread-safe);
 ///  * streaming: each shard OWNS the trace::StreamingTraces cursor bank
 ///    of its trace rows (ShardPlan::shard_of_trace partitioning) and
 ///    advances it privately — O(VMs/K) memory per shard, no sharing.
+/// On top the shard keeps its VM -> global trace row map, the migration
+/// wishes recorded for the coordinator, and its event-log segment.
 /// Between epoch barriers a shard never touches another shard's state;
 /// everything cross-shard goes through the coordinator (sharded_runner),
 /// which runs serially — including adopt_trace_row, which copies a
 /// handed-off VM's cursor from its owner bank into the destination bank.
-///
-/// RNG partitioning: shard k draws from Rng(seed ^ k * golden).split(1),
-/// mirroring DailyScenario's Rng(seed).split(1) — the XOR term vanishes
-/// for shard 0, so a K=1 run replays the single-threaded stream exactly.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "ecocloud/core/controller.hpp"
-#include "ecocloud/core/trace_driver.hpp"
-#include "ecocloud/dc/datacenter.hpp"
-#include "ecocloud/faults/fault_injector.hpp"
-#include "ecocloud/metrics/collector.hpp"
 #include "ecocloud/metrics/event_log.hpp"
 #include "ecocloud/par/partition.hpp"
 #include "ecocloud/scenario/scenario.hpp"
-#include "ecocloud/sim/simulator.hpp"
-#include "ecocloud/trace/streaming_traces.hpp"
-#include "ecocloud/trace/trace_set.hpp"
 #include "ecocloud/util/binio.hpp"
 
 namespace ecocloud::ckpt {
@@ -57,62 +48,46 @@ struct MigrationWish {
 
 class Shard {
  public:
-  /// Materialized-mode shard: drives its VMs from the shared read-only
-  /// \p traces, which must outlive the shard.
+  /// Shard \p shard_id of \p plan, driving its VMs from \p traces (entry
+  /// \p shard_id of scenario::generate_daily_traces — the partition rule
+  /// and ShardPlan::shard_of_trace agree by construction).
   Shard(const scenario::DailyConfig& config, const ShardPlan& plan,
-        std::size_t shard_id, const trace::TraceSet& traces);
-
-  /// Streaming-mode shard: takes ownership of \p bank, this shard's slice
-  /// of a StreamingTraces::generate_partitioned run (bank k for shard k —
-  /// the partition rule and ShardPlan::shard_of_trace agree by
-  /// construction).
-  Shard(const scenario::DailyConfig& config, const ShardPlan& plan,
-        std::size_t shard_id, trace::StreamingTraces bank);
+        std::size_t shard_id, scenario::TraceSource traces);
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
   [[nodiscard]] std::size_t id() const { return id_; }
 
+  /// The shard's simulation. The coordinator drives its lifecycle
+  /// (begin_deploy, start_services, run_slice, finish) directly.
+  [[nodiscard]] scenario::DailyScenario& daily() { return daily_; }
+  [[nodiscard]] const scenario::DailyScenario& daily() const { return daily_; }
+
   /// Create + map + deploy the VM of global trace row \p trace_index at
   /// t = 0. Returns false when the shard is saturated (assignment failed);
   /// the VM stays created and mapped, exactly as in DailyScenario.
   bool deploy(std::size_t trace_index);
 
+  /// Start recording the shard's decision events into its event-log
+  /// segment (off until called; idempotent). Call before the first event.
+  void record_events();
+
   /// Undo the trace mapping of the last failed deploy so the runner can
   /// retry the VM on another shard without this one double-driving it.
   void abandon_last_deploy();
 
-  /// Install fault hooks and schedule this shard's fault processes. Call
-  /// once, BEFORE the first deploy (message loss applies to the initial
-  /// placement wave, exactly as in DailyScenario). No-op without faults.
-  void start_faults();
-
-  /// Start the periodic services (trace ticks, monitors, sampling). Call
-  /// once, after the t=0 deployment wave.
-  void start_services();
-
-  /// Advance this shard's calendar to \p t (inclusive, like
-  /// Simulator::run_until). Safe to call concurrently with other shards.
-  void run_until(sim::SimTime t);
-
-  /// End-of-warmup accounting reset (DailyScenario semantics).
-  void warmup_reset();
-
-  /// Settle energy/SLA integrals (and open orphan downtime) at the horizon.
-  void finish(sim::SimTime horizon);
-
   /// Checkpoint surface for the shard's own coordination state: the
   /// VM->trace map, the pending migration wishes, and the dedup flags.
-  /// Everything else (datacenter, controller, collector, ...) registers
-  /// its own section via register_checkpoint.
+  /// load_state validates every size and id against the plan and throws
+  /// ckpt::SnapshotError on a mismatch.
   void save_state(util::BinWriter& w) const;
   void load_state(util::BinReader& r);
 
-  /// Register every stateful component of this shard (sections and
-  /// calendar-event owners) with \p manager — the per-shard mirror of
-  /// DailyScenario::register_checkpoint plus the shard coordination
-  /// section and the event-log segment.
+  /// Register the shard's DailyScenario (sections and calendar-event
+  /// owners), the shard coordination section and the event-log segment
+  /// with \p manager. The event-log section records whether the shard
+  /// was recording; a recording shard refuses a snapshot that was not.
   void register_checkpoint(ckpt::CheckpointManager& manager);
 
   // --- Coordinator surface (serial, between epochs) ---
@@ -148,54 +123,49 @@ class Shard {
     return vm_trace_[vm];
   }
 
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] const sim::Simulator& simulator() const { return sim_; }
-  [[nodiscard]] dc::DataCenter& datacenter() { return *dc_; }
-  [[nodiscard]] const dc::DataCenter& datacenter() const { return *dc_; }
-  [[nodiscard]] core::EcoCloudController& controller() { return *eco_; }
+  [[nodiscard]] sim::Simulator& simulator() { return daily_.simulator(); }
+  [[nodiscard]] const sim::Simulator& simulator() const {
+    return daily_.simulator();
+  }
+  [[nodiscard]] dc::DataCenter& datacenter() { return daily_.datacenter(); }
+  [[nodiscard]] const dc::DataCenter& datacenter() const {
+    return daily_.datacenter();
+  }
+  [[nodiscard]] core::EcoCloudController& controller() {
+    return *daily_.ecocloud();
+  }
   [[nodiscard]] const core::EcoCloudController& controller() const {
-    return *eco_;
+    return *daily_.ecocloud();
   }
   [[nodiscard]] const metrics::MetricsCollector& collector() const {
-    return *collector_;
+    return daily_.collector();
   }
-  [[nodiscard]] const metrics::EventLog& event_log() const { return *log_; }
+  [[nodiscard]] const metrics::EventLog& event_log() const { return log_; }
   [[nodiscard]] const core::TraceDriver& trace_driver() const {
-    return *trace_driver_;
+    return daily_.trace_driver();
   }
   /// Non-null only when the run's FaultParams are enabled.
   [[nodiscard]] faults::FaultInjector* fault_injector() {
-    return injector_.get();
+    return daily_.fault_injector();
   }
   [[nodiscard]] const faults::FaultInjector* fault_injector() const {
-    return injector_.get();
+    return daily_.fault_injector();
   }
   /// The owned cursor bank of a streaming-mode shard; null when the shard
   /// reads from a shared materialized TraceSet.
   [[nodiscard]] const trace::StreamingTraces* streaming_bank() const {
-    return streaming_.get();
+    return daily_.streaming();
   }
 
  private:
-  /// Shared construction once the trace source is set: fleet, driver,
-  /// controller, collector, faults — mirroring DailyScenario exactly.
-  void init(const scenario::DailyConfig& config);
-  /// RAM footprint of a global trace row, whichever source backs us.
-  [[nodiscard]] double trace_ram_mb(std::size_t trace_index) const;
+  /// Create and map the VM of \p trace_index, recording its trace row.
+  dc::VmId create_vm(std::size_t trace_index);
 
   const ShardPlan& plan_;
   std::size_t id_;
-  /// Exactly one of the two sources is set.
-  const trace::TraceSet* traces_ = nullptr;
-  std::unique_ptr<trace::StreamingTraces> streaming_;
-
-  sim::Simulator sim_;
-  std::unique_ptr<dc::DataCenter> dc_;
-  std::unique_ptr<core::TraceDriver> trace_driver_;
-  std::unique_ptr<core::EcoCloudController> eco_;
-  std::unique_ptr<metrics::MetricsCollector> collector_;
-  std::unique_ptr<metrics::EventLog> log_;
-  std::unique_ptr<faults::FaultInjector> injector_;
+  scenario::DailyScenario daily_;
+  metrics::EventLog log_;
+  bool recording_ = false;
 
   /// Local VmId -> global trace row; append-only, so event rows translate
   /// even for VMs that have since been handed off.

@@ -30,10 +30,10 @@
 
 #include "ecocloud/metrics/collector.hpp"
 #include "ecocloud/metrics/event_log.hpp"
+#include "ecocloud/par/event_merge.hpp"
 #include "ecocloud/par/partition.hpp"
 #include "ecocloud/par/shard.hpp"
 #include "ecocloud/scenario/scenario.hpp"
-#include "ecocloud/trace/trace_set.hpp"
 #include "ecocloud/util/phase_profiler.hpp"
 #include "ecocloud/util/thread_pool.hpp"
 
@@ -49,7 +49,8 @@ struct ParConfig {
   /// Number of shards K. Fixed K fixes the trajectory; the thread count
   /// only changes wall-clock time.
   std::size_t shards = 1;
-  /// Worker threads (0 -> hardware concurrency).
+  /// Worker threads (0 -> hardware concurrency), capped at the shard
+  /// count.
   std::size_t threads = 0;
   /// Epoch length between barriers. The default matches the 5-minute
   /// trace tick: cross-shard relief then reacts on the same timescale as
@@ -79,16 +80,21 @@ struct ParStats {
   std::uint64_t barriers = 0;
   std::uint64_t audits_run = 0;       ///< barrier audit rounds
   std::uint64_t audit_failures = 0;   ///< failed checks across all rounds
+  std::uint64_t audit_rounds_failed = 0;  ///< rounds with any failed check
+  std::uint64_t audit_heals = 0;      ///< heal actions, summed over shards
   std::uint64_t checkpoints_written = 0;
+  std::uint64_t snapshot_bytes_last = 0;  ///< section payload bytes
+  double checkpoint_seconds_last = 0.0;   ///< wall time of the last write
+  double checkpoint_seconds_total = 0.0;
   double energy_joules = 0.0;
 };
 
 class ShardedDailyRun {
  public:
   /// Builds the K shards. Rejects the one config the sharded engine does
-  /// not support: rack topology (invitations would need cross-shard rack
-  /// scoping). Faults, checkpointing, auditing, the watchdog, and
-  /// telemetry all compose with sharding.
+  /// not support: rack topology with K > 1 (invitations would need
+  /// cross-shard rack scoping). Faults, checkpointing, auditing, the
+  /// watchdog, and telemetry all compose with sharding.
   ShardedDailyRun(scenario::DailyConfig config, ParConfig par);
   ~ShardedDailyRun();
 
@@ -111,10 +117,19 @@ class ShardedDailyRun {
   /// constructed run (same config, same K, same sync interval — enforced
   /// via the stored digest; the thread count is free). run() then
   /// continues from the snapshot's barrier and produces byte-identical
-  /// output to the uninterrupted run.
+  /// output to the uninterrupted run. When config.run names no checkpoint
+  /// cadence, the snapshot's cadence is kept, and snapshots go to
+  /// config.run.checkpoint_out or back over \p path.
   void restore_snapshot(const std::string& path);
 
   [[nodiscard]] bool resumed() const { return resumed_; }
+
+  /// Whether the shards keep their decision event logs (default true):
+  /// merged_events and write_events_* read them. A run that writes no
+  /// event log turns them off and keeps no per-decision record in memory.
+  /// A snapshot of a run without logs only resumes into another such run.
+  /// Call before save_snapshot, restore_snapshot and run.
+  void set_record_events(bool on);
 
   /// Called after each barrier's hand-off/audit/checkpoint work with the
   /// barrier time — the telemetry layer flushes its per-shard streams
@@ -166,6 +181,9 @@ class ShardedDailyRun {
   void write_events_binary(std::ostream& out) const;
 
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
+  /// Worker threads running the epochs (ParConfig::threads resolved, and
+  /// never more than the shard count).
+  [[nodiscard]] std::size_t num_threads() const { return pool_->size(); }
   [[nodiscard]] const Shard& shard(std::size_t k) const { return *shards_[k]; }
   [[nodiscard]] Shard& shard(std::size_t k) { return *shards_[k]; }
   [[nodiscard]] const ShardPlan& plan() const { return plan_; }
@@ -175,8 +193,14 @@ class ShardedDailyRun {
   void barrier_handoff(sim::SimTime now);
   void resolve_wish(std::size_t source_shard, const MigrationWish& wish,
                     sim::SimTime now);
+  /// The merge inputs behind merged_events: every shard's event-log
+  /// segment with its id translation, then the coordinator's rows.
+  [[nodiscard]] std::vector<EventStream> event_streams() const;
   /// Lazily build one CheckpointManager per shard (sections + owners).
   void ensure_managers();
+  /// Apply set_record_events to the shards, once, before any event or
+  /// snapshot.
+  void start_recording();
   /// Digest stored in snapshots: the daily digest plus shard count and
   /// sync interval, so snapshots only restore into the same trajectory.
   [[nodiscard]] std::string config_digest() const;
@@ -191,10 +215,6 @@ class ShardedDailyRun {
   scenario::DailyConfig config_;
   ParConfig par_;
   ShardPlan plan_;
-  /// Materialized mode only: the one TraceSet all shards share read-only.
-  /// In streaming mode (config.streaming_traces) this stays null — each
-  /// shard owns the cursor bank of its rows instead (Shard::streaming_bank).
-  std::unique_ptr<trace::TraceSet> traces_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<util::ThreadPool> pool_;
 
@@ -211,6 +231,9 @@ class ShardedDailyRun {
   std::unique_ptr<ckpt::Watchdog> watchdog_;
   std::vector<double> last_energy_;  ///< per shard, for the monotonicity check
   std::string ckpt_path_;
+  /// Checkpoint cadence: config_.run's, or on a resume without one the
+  /// cadence stored in the snapshot.
+  sim::SimTime ckpt_every_s_ = 0.0;
   std::string resume_path_;
   double next_ckpt_due_ = 0.0;
   double next_audit_due_ = 0.0;
@@ -219,13 +242,14 @@ class ShardedDailyRun {
   /// resumed run continues the epoch loop exactly where the snapshot was
   /// taken.
   sim::SimTime t_ = 0.0;
-  bool warmup_done_ = false;
 
   util::PhaseProfiler* profiler_ = nullptr;
   std::vector<double> last_epoch_wall_s_;
   std::vector<double> last_barrier_lag_s_;
 
   ParStats stats_;
+  bool record_events_ = true;
+  bool recording_started_ = false;
   bool ran_ = false;
   bool resumed_ = false;
 };

@@ -1,10 +1,13 @@
 #include "ecocloud/par/sharded_runner.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <ostream>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "ecocloud/ckpt/auditor.hpp"
@@ -15,7 +18,6 @@
 #include "ecocloud/metrics/event_log_binary.hpp"
 #include "ecocloud/par/event_merge.hpp"
 #include "ecocloud/util/exit_codes.hpp"
-#include "ecocloud/util/rng.hpp"
 #include "ecocloud/util/validation.hpp"
 
 namespace ecocloud::par {
@@ -23,59 +25,55 @@ namespace ecocloud::par {
 ShardedDailyRun::ShardedDailyRun(scenario::DailyConfig config, ParConfig par)
     : config_(std::move(config)),
       par_(std::move(par)),
-      plan_(par_.shards, config_.fleet.num_servers, config_.num_vms) {
+      plan_(par_.shards, config_.fleet.num_servers, config_.num_vms),
+      ckpt_every_s_(config_.run.checkpoint_every_s) {
   config_.params.validate();
   config_.faults.validate();
   util::require(par_.sync_interval_s > 0.0,
                 "ShardedDailyRun: sync interval must be > 0");
-  util::require(!config_.topology,
-                "ShardedDailyRun: rack topology is not supported in sharded "
-                "mode (invitations would need cross-shard rack scoping)");
-  warmup_done_ = config_.warmup_s <= 0.0;
+  util::require(!config_.topology || par_.shards == 1,
+                "ShardedDailyRun: rack topology needs a single shard "
+                "(invitations would need cross-shard rack scoping)");
 
-  // The trace source is generated once from the bare seed — exactly as
-  // DailyScenario does — so the workload is a function of the config
-  // alone, not of K. Materialized mode shares one read-only TraceSet
-  // across the shards; streaming mode (DESIGN.md §17) hands each shard
-  // the owned cursor bank of its trace rows, generated from the same
-  // stream, so the demand samples are bit-identical either way.
-  //
   // streaming_traces is honored, never silently downgraded: every option
   // the sharded engine supports composes with the cursor banks (snapshots
   // regenerate and re-adopt them, audits read only the VM->row map,
-  // faults never sample demand). The one config that cannot shard at all
-  // — rack topology — is rejected above; any future option that requires
-  // the materialized sample matrix must fail fast here, in the CLI's
-  // util::require style, rather than fall back to O(VMs x horizon)
-  // memory behind the operator's back.
-  util::Rng rng(config_.seed);
-  const auto num_steps =
-      static_cast<std::size_t>(config_.horizon_s /
-                               config_.workload.sample_period_s) +
-      2;
-  trace::WorkloadModel model(config_.workload);
+  // faults never sample demand). Any future option that requires the
+  // materialized sample matrix must fail fast here, in the CLI's
+  // util::require style, rather than fall back to O(VMs x horizon) memory
+  // behind the operator's back.
+  std::vector<scenario::TraceSource> sources =
+      scenario::generate_daily_traces(config_, par_.shards);
   shards_.reserve(par_.shards);
-  if (config_.streaming_traces) {
-    std::vector<trace::StreamingTraces> banks =
-        trace::StreamingTraces::generate_partitioned(
-            model, config_.num_vms, num_steps, rng, par_.shards);
-    for (std::size_t k = 0; k < par_.shards; ++k) {
-      shards_.push_back(
-          std::make_unique<Shard>(config_, plan_, k, std::move(banks[k])));
-    }
-  } else {
-    traces_ = std::make_unique<trace::TraceSet>(
-        trace::TraceSet::generate(model, config_.num_vms, num_steps, rng));
-    for (std::size_t k = 0; k < par_.shards; ++k) {
-      shards_.push_back(std::make_unique<Shard>(config_, plan_, k, *traces_));
-    }
+  for (std::size_t k = 0; k < par_.shards; ++k) {
+    shards_.push_back(
+        std::make_unique<Shard>(config_, plan_, k, std::move(sources[k])));
   }
-  pool_ = std::make_unique<util::ThreadPool>(par_.threads);
+  // More workers than shards would only ever sit idle.
+  const std::size_t threads =
+      par_.threads != 0
+          ? par_.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  pool_ = std::make_unique<util::ThreadPool>(std::min(threads, par_.shards));
 }
 
 ShardedDailyRun::~ShardedDailyRun() = default;
 
+void ShardedDailyRun::set_record_events(bool on) {
+  util::require(!recording_started_,
+                "ShardedDailyRun::set_record_events after a snapshot or run");
+  record_events_ = on;
+}
+
+void ShardedDailyRun::start_recording() {
+  if (recording_started_) return;
+  recording_started_ = true;
+  if (!record_events_) return;
+  for (auto& shard : shards_) shard->record_events();
+}
+
 void ShardedDailyRun::ensure_managers() {
+  start_recording();
   if (!managers_.empty()) return;
   managers_.reserve(shards_.size());
   for (auto& shard : shards_) {
@@ -108,6 +106,7 @@ void ShardedDailyRun::set_profiler(util::PhaseProfiler* profiler) {
 
 void ShardedDailyRun::save_snapshot(const std::string& path) {
   util::ScopedPhase profile(util::Phase::kCheckpointWrite);
+  const auto t0 = std::chrono::steady_clock::now();
   ensure_managers();
   ckpt::Snapshot snapshot;
   {
@@ -118,10 +117,10 @@ void ShardedDailyRun::save_snapshot(const std::string& path) {
   {
     // Coordinator state. Snapshots are written after barrier_handoff, so
     // the wish queue is empty by construction; what remains is the epoch
-    // clock and the cross-shard accounting.
+    // clock, the checkpoint cadence and the cross-shard accounting.
     util::BinWriter w;
     w.f64(t_);
-    w.boolean(warmup_done_);
+    w.f64(ckpt_every_s_);
     w.u64(stats_.barriers);
     w.u64(stats_.stranded_wishes);
     w.u64(stats_.handoff_attempts);
@@ -143,6 +142,14 @@ void ShardedDailyRun::save_snapshot(const std::string& path) {
   }
   ckpt::write_snapshot_file(snapshot, path);
   ++stats_.checkpoints_written;
+  stats_.snapshot_bytes_last = 0;
+  for (const ckpt::SnapshotSection& section : snapshot.sections) {
+    stats_.snapshot_bytes_last += section.payload.size();
+  }
+  stats_.checkpoint_seconds_last = std::chrono::duration<double>(
+                                       std::chrono::steady_clock::now() - t0)
+                                       .count();
+  stats_.checkpoint_seconds_total += stats_.checkpoint_seconds_last;
   if (on_checkpoint) on_checkpoint(path);
 }
 
@@ -173,17 +180,29 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
     throw ckpt::SnapshotError("snapshot: '" + path +
                               "' has no coordinator section");
   }
-  {
+  // Any decoding failure, including a section of an older layout, is a
+  // snapshot error naming the file.
+  try {
     util::BinReader r(coord->payload);
     t_ = r.f64();
-    warmup_done_ = r.boolean();
+    const double stored_every = r.f64();
+    if (!(stored_every >= 0.0) || !std::isfinite(stored_every)) {
+      throw std::runtime_error("invalid checkpoint cadence");
+    }
+    // A resume without --checkpoint-every keeps the original cadence, so
+    // a campaign that crashes again still has recent snapshots.
+    if (ckpt_every_s_ <= 0.0) ckpt_every_s_ = stored_every;
     stats_.barriers = r.u64();
     stats_.stranded_wishes = r.u64();
     stats_.handoff_attempts = r.u64();
     stats_.cross_shard_migrations = r.u64();
     cross_low_ = r.u64();
     cross_high_ = r.u64();
-    coordinator_events_.assign(static_cast<std::size_t>(r.u64()),
+    const std::uint64_t events = r.u64();
+    if (events > r.remaining()) {
+      throw std::runtime_error("event count exceeds the payload");
+    }
+    coordinator_events_.assign(static_cast<std::size_t>(events),
                                metrics::Event{});
     for (metrics::Event& e : coordinator_events_) {
       e.time = r.f64();
@@ -193,6 +212,9 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
       e.is_high = r.boolean();
     }
     r.expect_exhausted("coordinator");
+  } catch (const std::runtime_error& error) {
+    throw ckpt::SnapshotError("snapshot: '" + path +
+                              "' coordinator section: " + error.what());
   }
 
   std::size_t expected = 2;  // meta + coordinator
@@ -230,6 +252,7 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
 void ShardedDailyRun::run() {
   util::ensure(!ran_, "ShardedDailyRun::run called twice");
   ran_ = true;
+  start_recording();
   const std::size_t K = shards_.size();
 
   // Operability wiring from config_.run. All of it is barrier-driven —
@@ -238,10 +261,9 @@ void ShardedDailyRun::run() {
   const scenario::RunControl& rc = config_.run;
   ckpt_path_ = rc.checkpoint_out;
   if (ckpt_path_.empty() && resumed_) ckpt_path_ = resume_path_;
-  if (!ckpt_path_.empty() && rc.checkpoint_every_s > 0.0) {
+  if (!ckpt_path_.empty() && ckpt_every_s_ > 0.0) {
     ensure_managers();
-    next_ckpt_due_ =
-        (std::floor(t_ / rc.checkpoint_every_s) + 1.0) * rc.checkpoint_every_s;
+    next_ckpt_due_ = (std::floor(t_ / ckpt_every_s_) + 1.0) * ckpt_every_s_;
   } else {
     ckpt_path_.clear();
   }
@@ -276,7 +298,7 @@ void ShardedDailyRun::run() {
   if (!resumed_) {
     // Fault hooks must be live before the first deployment: message loss
     // applies to the initial placement wave (DailyScenario ordering).
-    for (auto& shard : shards_) shard->start_faults();
+    for (auto& shard : shards_) shard->daily().begin_deploy();
 
     // t=0 deployment wave, in global trace order. A VM refused by its
     // owner shard (saturation) is retried on the remaining shards in
@@ -302,16 +324,16 @@ void ShardedDailyRun::run() {
       }
     }
 
-    for (auto& shard : shards_) shard->start_services();
+    for (auto& shard : shards_) shard->daily().start_services();
   }
 
   if (watchdog_) watchdog_->arm();
 
   // Epoch loop. Barrier times are multiples of the sync interval clipped
-  // to the warmup boundary and the horizon, so the accounting reset and
-  // the final settle happen at exactly the single-threaded times. On a
-  // resumed run t_ starts at the snapshot's barrier and the loop simply
-  // continues.
+  // to the warmup boundary and the horizon, so each shard's run_slice
+  // performs the accounting reset, and finish() the final settle, at
+  // exactly the single-calendar times. On a resumed run t_ starts at the
+  // snapshot's barrier and the loop simply continues.
   const sim::SimTime horizon = config_.horizon_s;
   const sim::SimTime warmup = config_.warmup_s;
   last_epoch_wall_s_.assign(K, 0.0);
@@ -327,13 +349,13 @@ void ShardedDailyRun::run() {
     util::DomainScope scope(profiler_ != nullptr ? &profiler_->domain(k)
                                                  : util::current_domain());
     const std::uint64_t t0 = util::monotonic_ns();
-    shards_[k]->run_until(until);
+    shards_[k]->daily().run_slice(until);
     last_epoch_wall_s_[k] =
         static_cast<double>(util::monotonic_ns() - t0) * 1e-9;
   };
   while (t_ < horizon) {
     sim::SimTime next = t_ + par_.sync_interval_s;
-    if (!warmup_done_ && warmup > t_) next = std::min(next, warmup);
+    if (warmup > t_) next = std::min(next, warmup);
     next = std::min(next, horizon);
 
     if (par_.epoch_order) {
@@ -350,6 +372,9 @@ void ShardedDailyRun::run() {
         seen[k] = 1;
         run_shard_epoch(k, next);
       }
+    } else if (pool_->size() == 1) {
+      // One worker would only add a hand-off per epoch: run inline.
+      for (std::size_t k = 0; k < K; ++k) run_shard_epoch(k, next);
     } else {
       pool_->parallel_for(0, K,
                           [&](std::size_t k) { run_shard_epoch(k, next); });
@@ -366,10 +391,9 @@ void ShardedDailyRun::run() {
       }
     }
 
-    if (!warmup_done_ && next >= warmup) {
-      for (auto& shard : shards_) shard->warmup_reset();
+    if (warmup > t_ && next >= warmup) {
+      // The shards reset their energy integrals at the warmup boundary.
       last_energy_.assign(last_energy_.size(), 0.0);
-      warmup_done_ = true;
     }
     {
       util::ScopedPhase profile(util::Phase::kHandoff);
@@ -380,7 +404,7 @@ void ShardedDailyRun::run() {
     at_barrier();
   }
   if (watchdog_) watchdog_->disarm();
-  for (auto& shard : shards_) shard->finish(horizon);
+  for (auto& shard : shards_) shard->daily().finish();
 
   for (auto& shard : shards_) {
     stats_.executed_events += shard->simulator().executed_events();
@@ -557,8 +581,7 @@ void ShardedDailyRun::at_barrier() {
   }
   if (!ckpt_path_.empty() && t_ >= next_ckpt_due_) {
     save_snapshot(ckpt_path_);
-    next_ckpt_due_ = (std::floor(t_ / config_.run.checkpoint_every_s) + 1.0) *
-                     config_.run.checkpoint_every_s;
+    next_ckpt_due_ = (std::floor(t_ / ckpt_every_s_) + 1.0) * ckpt_every_s_;
   }
   if (watchdog_) {
     std::uint64_t executed = 0;
@@ -572,16 +595,20 @@ void ShardedDailyRun::at_barrier() {
 
 void ShardedDailyRun::run_audits() {
   ++stats_.audits_run;
+  const std::uint64_t failures_before = stats_.audit_failures;
   // Per-shard invariants first (calendar integrity, fleet accounting, VM
   // ownership vs controller/redeploy tracking) — each shard's auditor
   // applies the configured action itself (log/heal/abort).
+  stats_.audit_heals = 0;
   for (auto& auditor : auditors_) {
     if (!auditor->run_audit().empty()) ++stats_.audit_failures;
+    stats_.audit_heals += auditor->stats().heals_applied;
   }
   // Then the invariants no single shard can see.
   const std::vector<std::string> cross = cross_shard_failures();
-  if (cross.empty()) return;
   stats_.audit_failures += cross.size();
+  if (stats_.audit_failures != failures_before) ++stats_.audit_rounds_failed;
+  if (cross.empty()) return;
   std::fprintf(stderr, "[audit] t=%.3f: %zu cross-shard violation(s):\n", t_,
                cross.size());
   for (const std::string& failure : cross) {
@@ -651,7 +678,9 @@ std::vector<std::string> ShardedDailyRun::cross_shard_failures() {
   return failures;
 }
 
-std::vector<metrics::Event> ShardedDailyRun::merged_events() const {
+std::vector<EventStream> ShardedDailyRun::event_streams() const {
+  util::require(record_events_,
+                "ShardedDailyRun: the run keeps no event log");
   // (K+1)-way merge over per-shard segments (each already time-ordered)
   // plus the coordinator's cross-shard rows, keyed by (time, stream) with
   // the coordinator last, with local ids translated to global — K=1
@@ -673,7 +702,11 @@ std::vector<metrics::Event> ShardedDailyRun::merged_events() const {
         }});
   }
   streams.push_back(EventStream{&coordinator_events_, {}});
-  return merge_event_streams(streams);
+  return streams;
+}
+
+std::vector<metrics::Event> ShardedDailyRun::merged_events() const {
+  return merge_event_streams(event_streams());
 }
 
 void ShardedDailyRun::write_events_csv(std::ostream& out) const {
@@ -681,7 +714,10 @@ void ShardedDailyRun::write_events_csv(std::ostream& out) const {
 }
 
 void ShardedDailyRun::write_events_binary(std::ostream& out) const {
-  metrics::write_binary_events(out, merged_events());
+  // Streamed: no merged copy of the log next to the shard segments.
+  metrics::BinaryEventWriter writer(out);
+  for_each_merged_event(event_streams(),
+                        [&writer](const metrics::Event& e) { writer.write(e); });
 }
 
 }  // namespace ecocloud::par

@@ -95,6 +95,22 @@ ShardedTelemetry::ShardedTelemetry(ShardedDailyRun& run, Options options)
       [stats] { return stats->checkpoints_written; }, {},
       "Sharded snapshots written at barriers");
 
+  // The checkpoint/audit family under the single-calendar names, when the
+  // run checkpoints or audits at all.
+  const scenario::RunControl& rc = run_.config().run;
+  if (run_.resumed() || !rc.checkpoint_out.empty() || rc.audit_every_s > 0.0) {
+    obs::register_robustness(registry_, [stats] {
+      obs::RobustnessSample sample;
+      sample.checkpoints_written = stats->checkpoints_written;
+      sample.snapshot_bytes_last = stats->snapshot_bytes_last;
+      sample.save_wall_seconds_total = stats->checkpoint_seconds_total;
+      sample.audits_run = stats->audits_run;
+      sample.audits_failed = stats->audit_rounds_failed;
+      sample.heals_applied = stats->audit_heals;
+      return sample;
+    });
+  }
+
   // Barrier-driven flush, chained so an existing hook keeps firing.
   run_.on_barrier = [this, prev = std::move(run_.on_barrier)](sim::SimTime t) {
     if (prev) prev(t);

@@ -11,12 +11,13 @@ namespace ecocloud::scenario {
 
 namespace {
 
-/// Read a non-negative integer key (size_t fields must reject negatives
-/// instead of wrapping through the cast).
+/// Read an integer key of at least \p min (size_t fields must reject
+/// negatives instead of wrapping through the cast).
 std::size_t get_size(const util::KeyValueConfig& kv, const std::string& key,
-                     std::size_t fallback) {
+                     std::size_t fallback, long long min = 0) {
   const long long value = kv.get_int(key, static_cast<long long>(fallback));
-  util::require(value >= 0, "config: '" + key + "' must be >= 0");
+  util::require(value >= min, "config: '" + key + "' must be >= " +
+                                  std::to_string(min));
   return static_cast<std::size_t>(value);
 }
 
@@ -116,8 +117,7 @@ DailyConfig load_daily_config(std::istream& in) {
   const auto kv = util::KeyValueConfig::parse(in);
   DailyConfig config;
 
-  config.fleet.num_servers = static_cast<std::size_t>(
-      kv.get_int("servers", static_cast<long long>(config.fleet.num_servers)));
+  config.fleet.num_servers = get_size(kv, "servers", config.fleet.num_servers, 1);
   config.fleet.core_mhz = kv.get_double("core_mhz", config.fleet.core_mhz);
   config.fleet.ram_per_core_mb =
       kv.get_double("ram_per_core_mb", config.fleet.ram_per_core_mb);
@@ -131,8 +131,7 @@ DailyConfig load_daily_config(std::istream& in) {
     }
   }
 
-  config.num_vms = static_cast<std::size_t>(
-      kv.get_int("vms", static_cast<long long>(config.num_vms)));
+  config.num_vms = get_size(kv, "vms", config.num_vms, 1);
   config.horizon_s =
       kv.get_double("horizon_hours", config.horizon_s / sim::kHour) * sim::kHour;
   config.warmup_s =
@@ -170,13 +169,11 @@ ConsolidationConfig load_consolidation_config(std::istream& in) {
   const auto kv = util::KeyValueConfig::parse(in);
   ConsolidationConfig config;
 
-  config.num_servers = static_cast<std::size_t>(
-      kv.get_int("servers", static_cast<long long>(config.num_servers)));
+  config.num_servers = get_size(kv, "servers", config.num_servers, 1);
   config.cores_per_server = static_cast<unsigned>(
-      kv.get_int("cores_per_server", config.cores_per_server));
+      get_size(kv, "cores_per_server", config.cores_per_server, 1));
   config.core_mhz = kv.get_double("core_mhz", config.core_mhz);
-  config.initial_vms = static_cast<std::size_t>(
-      kv.get_int("initial_vms", static_cast<long long>(config.initial_vms)));
+  config.initial_vms = get_size(kv, "initial_vms", config.initial_vms, 1);
   config.horizon_s =
       kv.get_double("horizon_hours", config.horizon_s / sim::kHour) * sim::kHour;
   config.mean_lifetime_s =

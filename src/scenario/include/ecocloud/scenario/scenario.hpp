@@ -16,6 +16,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "ecocloud/baseline/centralized_controller.hpp"
 #include "ecocloud/net/topology.hpp"
@@ -25,6 +27,7 @@
 #include "ecocloud/faults/fault_injector.hpp"
 #include "ecocloud/metrics/collector.hpp"
 #include "ecocloud/trace/rate_estimator.hpp"
+#include "ecocloud/trace/streaming_traces.hpp"
 #include "ecocloud/trace/trace_set.hpp"
 
 namespace ecocloud::ckpt {
@@ -70,8 +73,19 @@ struct FleetConfig {
   double ram_per_core_mb = 4096.0;
 };
 
-/// Build a hibernated fleet into \p datacenter per the mix.
-void build_fleet(dc::DataCenter& datacenter, const FleetConfig& fleet);
+/// The part of a fleet one DailyScenario simulates: the round-robin slice
+/// of global servers g with g % count == index (par::ShardPlan's
+/// partition, DESIGN.md §12). The default is the whole fleet.
+struct FleetSlice {
+  std::size_t count = 1;
+  std::size_t index = 0;
+};
+
+/// Build the hibernated servers of \p slice into \p datacenter, in global
+/// order. The class mix follows the global index, so every slice inherits
+/// the fleet's round-robin core proportions.
+void build_fleet(dc::DataCenter& datacenter, const FleetConfig& fleet,
+                 FleetSlice slice = {});
 
 /// Parameters of the 48-hour daily-cycle experiment.
 struct DailyConfig {
@@ -118,7 +132,29 @@ enum class Algorithm { kEcoCloud, kCentralized, kStatic };
 [[nodiscard]] std::string daily_config_digest(const DailyConfig& config,
                                               const char* algo);
 
+/// Where a DailyScenario reads VM demand from: a materialized TraceSet
+/// (shared read-only when several fleet slices drive from it), or a
+/// streaming cursor bank the scenario owns (DESIGN.md §14/§17).
+using TraceSource =
+    std::variant<std::shared_ptr<const trace::TraceSet>, trace::StreamingTraces>;
+
+/// The synthetic workload of a daily run, one TraceSource per fleet slice.
+/// It is generated once from the bare seed, so the demand is a function of
+/// the config alone and not of the slicing: materialized mode hands every
+/// slice the same TraceSet, streaming mode (config.streaming_traces) gives
+/// slice k the cursor bank of the trace rows congruent to k modulo
+/// \p num_slices. Both modes yield the same samples bit for bit.
+[[nodiscard]] std::vector<TraceSource> generate_daily_traces(
+    const DailyConfig& config, std::size_t num_slices);
+
 /// A fully wired daily-cycle experiment. Construct, then run().
+///
+/// The same class is one shard of a sharded run (par::Shard): built over a
+/// FleetSlice, it simulates only that slice's servers, draws from
+/// Rng(seed ^ index * golden) — the seed itself for slice 0 — and applies
+/// only the scripted faults that hit its servers, with ids rewritten to
+/// local ones. The coordinator then drives the deployment wave through
+/// begin_deploy() / create_vm() / deploy_vm() / start_services().
 class DailyScenario {
  public:
   explicit DailyScenario(DailyConfig config,
@@ -131,6 +167,10 @@ class DailyScenario {
   DailyScenario(DailyConfig config, trace::TraceSet traces,
                 Algorithm algorithm = Algorithm::kEcoCloud,
                 baseline::CentralizedParams centralized_params = {});
+
+  /// One fleet slice of a sharded ecoCloud run, driving its VMs from
+  /// \p traces (this slice's entry of generate_daily_traces).
+  DailyScenario(DailyConfig config, FleetSlice slice, TraceSource traces);
 
   /// Deploy all VMs at t=0 and simulate the full horizon. Equivalent to
   /// start() + run_slice(horizon) + finish().
@@ -146,8 +186,26 @@ class DailyScenario {
   /// static fleet if applicable, start fault hooks, create and deploy
   /// every VM, start the drivers and the collector. The campaign server
   /// uses start() + repeated run_slice() so it can checkpoint, pause, or
-  /// evict a campaign between slices.
+  /// evict a campaign between slices. Equivalent to begin_deploy(),
+  /// deploy_vm(create_vm(i)) for every trace row i, start_services().
   void start();
+
+  /// First step of start(): boot the static fleet if applicable and
+  /// install the fault hooks, so message loss applies to the deployment
+  /// wave too.
+  void begin_deploy();
+
+  /// Create the VM of trace row \p trace_index at t = 0 and drive its
+  /// demand from the trace from now on.
+  dc::VmId create_vm(std::size_t trace_index);
+
+  /// Place \p vm with the run's algorithm. False when the ecoCloud
+  /// assignment found no server (the VM stays created and mapped).
+  bool deploy_vm(dc::VmId vm);
+
+  /// Last step of start(): start the trace ticks, the controllers'
+  /// periodic services and the collector.
+  void start_services();
 
   /// Advance the simulation to min(\p until, horizon), performing the
   /// warmup accounting reset when the slice crosses warmup_s. Slicing is
@@ -173,7 +231,9 @@ class DailyScenario {
 
   [[nodiscard]] const DailyConfig& config() const { return config_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
+  [[nodiscard]] const sim::Simulator& simulator() const { return sim_; }
   [[nodiscard]] dc::DataCenter& datacenter() { return *dc_; }
+  [[nodiscard]] const dc::DataCenter& datacenter() const { return *dc_; }
   /// The materialized trace set. Throws when the scenario runs in
   /// streaming mode (config.streaming_traces) — use streaming() there.
   [[nodiscard]] const trace::TraceSet& traces() const;
@@ -181,8 +241,19 @@ class DailyScenario {
   [[nodiscard]] const trace::StreamingTraces* streaming() const {
     return streaming_.get();
   }
+  [[nodiscard]] trace::StreamingTraces* streaming() { return streaming_.get(); }
+  [[nodiscard]] core::TraceDriver& trace_driver() { return *trace_driver_; }
+  [[nodiscard]] const core::TraceDriver& trace_driver() const {
+    return *trace_driver_;
+  }
   [[nodiscard]] metrics::MetricsCollector& collector() { return *collector_; }
+  [[nodiscard]] const metrics::MetricsCollector& collector() const {
+    return *collector_;
+  }
   [[nodiscard]] core::EcoCloudController* ecocloud() { return eco_.get(); }
+  [[nodiscard]] const core::EcoCloudController* ecocloud() const {
+    return eco_.get();
+  }
   [[nodiscard]] baseline::CentralizedController* centralized() {
     return central_.get();
   }
@@ -190,18 +261,24 @@ class DailyScenario {
   /// Non-null only when config.faults.enabled() and the algorithm is
   /// kEcoCloud; carries the resilience statistics of the run.
   [[nodiscard]] faults::FaultInjector* fault_injector() { return injector_.get(); }
+  [[nodiscard]] const faults::FaultInjector* fault_injector() const {
+    return injector_.get();
+  }
 
  private:
-  /// Shared wiring once the trace source (traces_ or streaming_) exists:
-  /// fleet, trace driver, controller, collector, fault injector.
-  void init(const baseline::CentralizedParams& centralized_params);
+  /// The one place a daily run is wired, for every constructor: trace
+  /// source, fleet slice, trace driver, controller, collector, fault
+  /// injector.
+  void init(FleetSlice slice, TraceSource traces,
+            const baseline::CentralizedParams& centralized_params);
 
   DailyConfig config_;
   Algorithm algorithm_;
   sim::Simulator sim_;
   std::unique_ptr<net::Topology> topology_;
   std::unique_ptr<dc::DataCenter> dc_;
-  std::unique_ptr<trace::TraceSet> traces_;
+  /// Exactly one of the two trace sources is set.
+  std::shared_ptr<const trace::TraceSet> traces_;
   std::unique_ptr<trace::StreamingTraces> streaming_;
   std::unique_ptr<core::TraceDriver> trace_driver_;
   std::unique_ptr<core::EcoCloudController> eco_;

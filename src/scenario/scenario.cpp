@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "ecocloud/ckpt/checkpoint.hpp"
 #include "ecocloud/util/phase_profiler.hpp"
@@ -82,55 +83,115 @@ void digest_faults(std::string& out, const faults::FaultParams& f) {
   }
 }
 
+/// Seed of fleet slice \p index: XOR with the index spread over the full
+/// 64 bits (multiples of the golden-ratio increment, as in splitmix64).
+/// Slice 0's term is zero, so its streams are exactly the unsliced run's.
+std::uint64_t slice_seed(std::uint64_t seed, std::size_t index) {
+  return seed ^ (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(index));
+}
+
+/// Restrict a global fault schedule to the servers of \p slice and
+/// rewrite the ranges into local ids. Entries whose [first, last] range
+/// contains no server of the slice are dropped, so every scripted crash
+/// fires on exactly one slice and the whole fleet's schedule is unchanged.
+faults::FaultParams localize_faults(const faults::FaultParams& global,
+                                    FleetSlice slice) {
+  faults::FaultParams local = global;
+  local.schedule.clear();
+  const auto k = static_cast<dc::ServerId>(slice.count);
+  const auto self = static_cast<dc::ServerId>(slice.index);
+  for (faults::ScriptedFault fault : global.schedule) {
+    // Smallest/largest global server in [first, last] congruent to the
+    // slice index modulo the count; empty intersections are skipped.
+    const dc::ServerId g0 =
+        fault.first + ((self + k - fault.first % k) % k);
+    if (g0 > fault.last) continue;
+    const dc::ServerId g1 = fault.last - ((fault.last % k + k - self) % k);
+    fault.first = g0 / k;
+    fault.last = g1 / k;
+    local.schedule.push_back(fault);
+  }
+  return local;
+}
+
 }  // namespace
 
-void build_fleet(dc::DataCenter& datacenter, const FleetConfig& fleet) {
+void build_fleet(dc::DataCenter& datacenter, const FleetConfig& fleet,
+                 FleetSlice slice) {
   util::require(!fleet.core_mix.empty(), "build_fleet: empty core mix");
-  for (std::size_t i = 0; i < fleet.num_servers; ++i) {
+  util::require(slice.count >= 1 && slice.index < slice.count,
+                "build_fleet: slice index outside the slice count");
+  for (std::size_t i = slice.index; i < fleet.num_servers; i += slice.count) {
     const unsigned cores = fleet.core_mix[i % fleet.core_mix.size()];
     datacenter.add_server(cores, fleet.core_mhz,
                           fleet.ram_per_core_mb * static_cast<double>(cores));
   }
 }
 
-DailyScenario::DailyScenario(DailyConfig config, Algorithm algorithm,
-                             baseline::CentralizedParams centralized_params)
-    : config_(std::move(config)), algorithm_(algorithm) {
-  config_.params.validate();
-  util::Rng rng(config_.seed);
+std::vector<TraceSource> generate_daily_traces(const DailyConfig& config,
+                                               std::size_t num_slices) {
+  util::Rng rng(config.seed);
   const auto num_steps =
-      static_cast<std::size_t>(config_.horizon_s /
-                               config_.workload.sample_period_s) +
+      static_cast<std::size_t>(config.horizon_s /
+                               config.workload.sample_period_s) +
       2;
-  trace::WorkloadModel model(config_.workload);
+  const trace::WorkloadModel model(config.workload);
+  std::vector<TraceSource> sources;
+  sources.reserve(num_slices);
   // Both generators consume the seed stream identically, so the two modes
   // produce the same event stream bit for bit (engine_regression_test pins
   // both against the same hashes).
-  if (config_.streaming_traces) {
-    streaming_ = std::make_unique<trace::StreamingTraces>(
-        trace::StreamingTraces::generate(model, config_.num_vms, num_steps, rng));
+  if (config.streaming_traces) {
+    for (trace::StreamingTraces& bank :
+         trace::StreamingTraces::generate_partitioned(
+             model, config.num_vms, num_steps, rng, num_slices)) {
+      sources.emplace_back(std::move(bank));
+    }
   } else {
-    traces_ = std::make_unique<trace::TraceSet>(
-        trace::TraceSet::generate(model, config_.num_vms, num_steps, rng));
+    const auto shared = std::make_shared<const trace::TraceSet>(
+        trace::TraceSet::generate(model, config.num_vms, num_steps, rng));
+    sources.assign(num_slices, shared);
   }
-  init(centralized_params);
+  return sources;
+}
+
+DailyScenario::DailyScenario(DailyConfig config, Algorithm algorithm,
+                             baseline::CentralizedParams centralized_params)
+    : config_(std::move(config)), algorithm_(algorithm) {
+  config_.params.validate();  // before the (possibly long) trace generation
+  init({}, std::move(generate_daily_traces(config_, 1).front()),
+       centralized_params);
 }
 
 DailyScenario::DailyScenario(DailyConfig config, trace::TraceSet traces,
                              Algorithm algorithm,
                              baseline::CentralizedParams centralized_params)
     : config_(std::move(config)), algorithm_(algorithm) {
-  config_.params.validate();
   // Externally supplied traces are materialized by definition.
   config_.streaming_traces = false;
   config_.num_vms = traces.num_vms();
-  traces_ = std::make_unique<trace::TraceSet>(std::move(traces));
-  init(centralized_params);
+  init({}, std::make_shared<const trace::TraceSet>(std::move(traces)),
+       centralized_params);
 }
 
-void DailyScenario::init(const baseline::CentralizedParams& centralized_params) {
+DailyScenario::DailyScenario(DailyConfig config, FleetSlice slice,
+                             TraceSource traces)
+    : config_(std::move(config)), algorithm_(Algorithm::kEcoCloud) {
+  init(slice, std::move(traces), {});
+}
+
+void DailyScenario::init(FleetSlice slice, TraceSource traces,
+                         const baseline::CentralizedParams& centralized_params) {
+  config_.params.validate();
+  if (auto* shared = std::get_if<std::shared_ptr<const trace::TraceSet>>(&traces)) {
+    traces_ = std::move(*shared);
+  } else {
+    streaming_ = std::make_unique<trace::StreamingTraces>(
+        std::move(std::get<trace::StreamingTraces>(traces)));
+  }
+
   dc_ = std::make_unique<dc::DataCenter>();
-  build_fleet(*dc_, config_.fleet);
+  build_fleet(*dc_, config_.fleet, slice);
 
   if (streaming_) {
     trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *streaming_);
@@ -138,7 +199,7 @@ void DailyScenario::init(const baseline::CentralizedParams& centralized_params) 
     trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *traces_);
   }
 
-  util::Rng rng(config_.seed);
+  util::Rng rng(slice_seed(config_.seed, slice.index));
   if (algorithm_ == Algorithm::kEcoCloud) {
     eco_ = std::make_unique<core::EcoCloudController>(sim_, *dc_, config_.params,
                                                       rng.split(1));
@@ -159,13 +220,16 @@ void DailyScenario::init(const baseline::CentralizedParams& centralized_params) 
   if (eco_ && config_.faults.enabled()) {
     // Stream 7 keeps fault draws out of the workload (seed) and
     // controller (split 1) streams: the same seed yields the same fault
-    // sequence regardless of the other knobs.
+    // sequence regardless of the other knobs. Every slice gets an injector
+    // even when its share of the schedule is empty, so the stochastic
+    // processes and the snapshot layout are uniform across slices.
     injector_ = std::make_unique<faults::FaultInjector>(
-        sim_, *dc_, *eco_, config_.faults, rng.split(7));
+        sim_, *dc_, *eco_, localize_faults(config_.faults, slice),
+        rng.split(7));
   }
 }
 
-void DailyScenario::start() {
+void DailyScenario::begin_deploy() {
   if (algorithm_ == Algorithm::kStatic) {
     // No consolidation: the whole fleet runs and VMs are spread
     // round-robin, as in a data center without any placement policy.
@@ -174,37 +238,45 @@ void DailyScenario::start() {
       dc_->finish_booting(0.0, static_cast<dc::ServerId>(s));
     }
   }
-
-  // Hooks must be live before the first deployment: message loss applies
-  // to the initial placement wave too.
   if (injector_) injector_->start();
+}
 
+dc::VmId DailyScenario::create_vm(std::size_t trace_index) {
+  const double ram_mb = streaming_ ? streaming_->ram_mb(trace_index)
+                                   : traces_->ram_mb(trace_index);
+  const dc::VmId vm = dc_->create_vm(0.0, ram_mb);
+  trace_driver_->map_vm(trace_index, vm);  // sets the live trace demand
+  return vm;
+}
+
+bool DailyScenario::deploy_vm(dc::VmId vm) {
+  if (eco_) return eco_->deploy_vm(vm);
+  if (central_) {
+    central_->deploy_vm(vm);
+  } else {
+    dc_->place_vm(0.0, vm, static_cast<dc::ServerId>(vm % dc_->num_servers()));
+  }
+  return true;
+}
+
+void DailyScenario::start_services() {
+  trace_driver_->start();
+  if (eco_) eco_->start();
+  if (central_) central_->start();
+  collector_->start();
+}
+
+void DailyScenario::start() {
+  begin_deploy();
   // Create all VMs with their t=0 demand and deploy them; the controllers
   // wake servers and queue VMs as boots complete. At planet scale this
   // wave is tens of seconds of wall time, so it carries its own phase —
   // one span, always timed, never mistaken for steady-state event cost.
   {
     util::ScopedPhase profile(util::Phase::kVmLifecycle);
-    for (std::size_t i = 0; i < config_.num_vms; ++i) {
-      const double ram_mb =
-          streaming_ ? streaming_->ram_mb(i) : traces_->ram_mb(i);
-      const dc::VmId vm = dc_->create_vm(0.0, ram_mb);
-      trace_driver_->map_vm(i, vm);
-      if (eco_) {
-        eco_->deploy_vm(vm);
-      } else if (central_) {
-        central_->deploy_vm(vm);
-      } else {
-        dc_->place_vm(0.0, vm,
-                      static_cast<dc::ServerId>(i % dc_->num_servers()));
-      }
-    }
+    for (std::size_t i = 0; i < config_.num_vms; ++i) deploy_vm(create_vm(i));
   }
-
-  trace_driver_->start();
-  if (eco_) eco_->start();
-  if (central_) central_->start();
-  collector_->start();
+  start_services();
 }
 
 bool DailyScenario::run_slice(sim::SimTime until) {

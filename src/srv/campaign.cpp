@@ -108,12 +108,13 @@ CampaignSpec parse_submission(const std::string& body) {
   spec.client = kv.get_string("campaign.client", spec.client);
   spec.idem_key = kv.get_string("campaign.key", "");
   spec.quota.wall_budget_s = kv.get_double("campaign.wall_budget_s", 0.0);
-  spec.quota.event_budget = static_cast<std::uint64_t>(
-      kv.get_int("campaign.event_budget", 0));
+  const long long event_budget = kv.get_int("campaign.event_budget", 0);
+  spec.quota.event_budget = static_cast<std::uint64_t>(event_budget);
   spec.quota.rss_budget_mb = kv.get_double("campaign.rss_budget_mb", 0.0);
   util::require(!spec.client.empty(), "campaign.client must not be empty");
   util::require(spec.quota.wall_budget_s >= 0.0,
                 "campaign.wall_budget_s must be >= 0");
+  util::require(event_budget >= 0, "campaign.event_budget must be >= 0");
   util::require(spec.quota.rss_budget_mb >= 0.0,
                 "campaign.rss_budget_mb must be >= 0");
   for (const auto& key : kv.unused_keys()) {

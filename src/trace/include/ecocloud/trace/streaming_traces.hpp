@@ -55,7 +55,7 @@ class StreamingTraces {
   /// consuming \p rng exactly as TraceSet::generate(model, num_vms,
   /// num_steps, rng) would. O(num_vms x num_steps) time (the generation
   /// draws must be replayed to keep the stream aligned) but O(num_vms)
-  /// memory.
+  /// memory. The one-bank case of generate_partitioned.
   static StreamingTraces generate(const WorkloadModel& model,
                                   std::size_t num_vms, std::size_t num_steps,
                                   util::Rng& rng);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "ecocloud/util/validation.hpp"
 
@@ -11,57 +12,7 @@ StreamingTraces StreamingTraces::generate(const WorkloadModel& model,
                                           std::size_t num_vms,
                                           std::size_t num_steps,
                                           util::Rng& rng) {
-  util::require(num_vms > 0, "StreamingTraces::generate: num_vms must be > 0");
-  util::require(num_steps > 0, "StreamingTraces::generate: num_steps must be > 0");
-  const WorkloadConfig& config = model.config();
-
-  StreamingTraces set;
-  set.num_steps_ = num_steps;
-  set.sample_period_s_ = config.sample_period_s;
-  set.reference_mhz_ = config.reference_mhz;
-  set.ar1_rho_ = config.ar1_rho;
-  set.dev_base_ = config.dev_base;
-  set.dev_slope_ = config.dev_slope;
-  set.diurnal_ = config.diurnal;
-  set.total_vms_ = num_vms;
-  set.averages_.reserve(num_vms);
-  set.ram_mb_.reserve(num_vms);
-  set.dev_.reserve(num_vms);
-  set.values_.reserve(num_vms);
-  set.cursors_.reserve(num_vms);
-
-  const double rho = config.ar1_rho;
-  // Computed exactly as WorkloadModel::generate_series computes it, so the
-  // lazily drawn samples match the materialized ones bit for bit.
-  const double stationary_to_innovation = std::sqrt(1.0 - rho * rho);
-
-  for (std::size_t v = 0; v < num_vms; ++v) {
-    const double avg = model.sample_average_percent(rng);
-    set.averages_.push_back(avg);
-    set.ram_mb_.push_back(model.sample_ram_mb(rng));
-
-    const double sigma = config.dev_base + config.dev_slope * avg;
-    const double innovation_scale = sigma * stationary_to_innovation;
-
-    // Capture this VM's cursor at the start of its series block, then
-    // advance the shared stream past the block by replaying the exact
-    // draws TraceSet::generate would burn (1 stationary + num_steps
-    // innovations), keeping VM v+1's average/ram/series draws aligned
-    // with the materialized generator.
-    set.cursors_.push_back(rng);
-    (void)rng.normal(0.0, sigma);
-    for (std::size_t k = 0; k < num_steps; ++k) {
-      (void)rng.normal(0.0, innovation_scale);
-    }
-
-    // Position the lazy state at step 0 from the private cursor: after the
-    // stationary draw it is ready to produce the step-1 innovation.
-    const double dev0 = set.cursors_.back().normal(0.0, sigma);
-    set.dev_.push_back(dev0);
-    const double base = avg * set.diurnal_.value(0.0);
-    set.values_.push_back(static_cast<float>(std::clamp(base + dev0, 0.0, 100.0)));
-  }
-  return set;
+  return std::move(generate_partitioned(model, num_vms, num_steps, rng, 1).front());
 }
 
 std::vector<StreamingTraces> StreamingTraces::generate_partitioned(
@@ -100,12 +51,15 @@ std::vector<StreamingTraces> StreamingTraces::generate_partitioned(
   }
 
   const double rho = config.ar1_rho;
+  // Computed exactly as WorkloadModel::generate_series computes it, so the
+  // lazily drawn samples match the materialized ones bit for bit.
   const double stationary_to_innovation = std::sqrt(1.0 - rho * rho);
 
-  // One pass over the shared stream in generate()'s exact draw order; only
-  // the bank each row's columns land in differs. Row v is stored at slot
-  // v / num_banks of bank v % num_banks, so the per-bank append order is
-  // the global row order restricted to the bank — slot() stays arithmetic.
+  // One pass over the shared stream in TraceSet::generate's exact draw
+  // order; only the bank each row's columns land in differs. Row v is
+  // stored at slot v / num_banks of bank v % num_banks, so the per-bank
+  // append order is the global row order restricted to the bank — slot()
+  // stays arithmetic.
   for (std::size_t v = 0; v < num_vms; ++v) {
     StreamingTraces& bank = banks[v % num_banks];
     const double avg = model.sample_average_percent(rng);
@@ -115,12 +69,19 @@ std::vector<StreamingTraces> StreamingTraces::generate_partitioned(
     const double sigma = config.dev_base + config.dev_slope * avg;
     const double innovation_scale = sigma * stationary_to_innovation;
 
+    // Capture this row's cursor at the start of its series block, then
+    // advance the shared stream past the block by replaying the exact
+    // draws TraceSet::generate would burn (1 stationary + num_steps
+    // innovations), keeping row v+1's average/ram/series draws aligned
+    // with the materialized generator.
     bank.cursors_.push_back(rng);
     (void)rng.normal(0.0, sigma);
     for (std::size_t k = 0; k < num_steps; ++k) {
       (void)rng.normal(0.0, innovation_scale);
     }
 
+    // Position the lazy state at step 0 from the private cursor: after the
+    // stationary draw it is ready to produce the step-1 innovation.
     const double dev0 = bank.cursors_.back().normal(0.0, sigma);
     bank.dev_.push_back(dev0);
     const double base = avg * bank.diurnal_.value(0.0);

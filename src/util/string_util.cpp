@@ -1,6 +1,7 @@
 #include "ecocloud/util/string_util.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -44,9 +45,14 @@ long long parse_int(const std::string& s) {
   const std::string t = trim(s);
   if (t.empty()) throw std::invalid_argument("parse_int: empty field");
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(t.c_str(), &end, 10);
   if (end == t.c_str() || *end != '\0') {
     throw std::invalid_argument("parse_int: invalid integer '" + s + "'");
+  }
+  // strtoll saturates at LLONG_MIN/MAX on overflow; never hand that back.
+  if (errno == ERANGE) {
+    throw std::invalid_argument("parse_int: integer out of range '" + s + "'");
   }
   return value;
 }

@@ -356,6 +356,32 @@ TEST(ConfigIo, DailyRejectsNegativeInviteGroupSize) {
   EXPECT_THROW(scenario::load_daily_config(in), std::invalid_argument);
 }
 
+TEST(ConfigIo, RejectsNegativeAndZeroSizes) {
+  // Size keys must never wrap through the size_t cast (servers = -1 would
+  // otherwise ask for 18446744073709551615 servers).
+  for (const char* text :
+       {"servers = -1\n", "servers = 0\n", "vms = -5\n", "vms = 0\n"}) {
+    std::istringstream in(text);
+    EXPECT_THROW(scenario::load_daily_config(in), std::invalid_argument) << text;
+  }
+  for (const char* text : {"servers = -1\n", "servers = 0\n",
+                           "initial_vms = -2\n", "cores_per_server = -6\n",
+                           "cores_per_server = 0\n"}) {
+    std::istringstream in(text);
+    EXPECT_THROW(scenario::load_consolidation_config(in), std::invalid_argument)
+        << text;
+  }
+}
+
+TEST(ConfigIo, RejectsSeedBeyondTheIntegerRange) {
+  // strtoll saturates at LLONG_MAX; a silently clamped seed would run a
+  // different experiment than the one asked for.
+  std::istringstream in("seed = 99999999999999999999\n");
+  EXPECT_THROW(scenario::load_daily_config(in), std::invalid_argument);
+  std::istringstream max("seed = 9223372036854775807\n");
+  EXPECT_EQ(scenario::load_daily_config(max).seed, 9223372036854775807ULL);
+}
+
 // --- Robustness sections + strict parsing diagnostics ------------------------
 
 TEST(ConfigIo, DailyParsesRobustnessSections) {

@@ -13,10 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "ecocloud/ckpt/checkpoint.hpp"
+#include "ecocloud/ckpt/snapshot_io.hpp"
 #include "ecocloud/metrics/event_log.hpp"
+#include "ecocloud/obs/exporters.hpp"
 #include "ecocloud/par/event_merge.hpp"
 #include "ecocloud/par/partition.hpp"
 #include "ecocloud/par/sharded_runner.hpp"
+#include "ecocloud/par/sharded_telemetry.hpp"
 #include "ecocloud/scenario/scenario.hpp"
 
 using namespace ecocloud;
@@ -198,6 +202,27 @@ TEST(ShardedDailyRun, SingleShardIsBitIdenticalToSingleThreadedEngine) {
                            reference.collector().samples());
 
   // Event log: byte-exact.
+  std::ostringstream reference_csv;
+  reference_log.write_csv(reference_csv);
+  EXPECT_EQ(events_csv(sharded), reference_csv.str());
+}
+
+TEST(ShardedDailyRun, SingleShardRunsRackTopologyLikeTheSingleCalendar) {
+  // Rack-scoped invitations need no cross-shard scoping when there is only
+  // one shard, so K=1 keeps supporting the topology (K>1 refuses it, see
+  // RejectsTopologyAndBadSyncInterval).
+  auto config = small_config();
+  config.topology = net::TopologyConfig{.num_racks = 4};
+
+  scenario::DailyScenario reference(config);
+  metrics::EventLog reference_log;
+  reference_log.attach(*reference.ecocloud());
+  reference.run();
+
+  par::ShardedDailyRun sharded(config, {.shards = 1});
+  sharded.run();
+  EXPECT_EQ(sharded.stats().energy_joules,
+            reference.datacenter().energy_joules());
   std::ostringstream reference_csv;
   reference_log.write_csv(reference_csv);
   EXPECT_EQ(events_csv(sharded), reference_csv.str());
@@ -402,6 +427,129 @@ TEST(ShardedDailyRun, FaultedCheckpointResumeReplaysExactly) {
   std::remove(ckpt_config.run.checkpoint_out.c_str());
 }
 
+TEST(ShardedDailyRun, ResumeWithoutCadenceKeepsWritingSnapshots) {
+  // A resume that names no cadence (run-daily --resume-from X) keeps the
+  // cadence stored in the snapshot and writes back over the resumed file,
+  // so a run that crashes a second time still has a recent snapshot.
+  const auto config = small_config();
+  par::ShardedDailyRun reference(config, {.shards = 1, .threads = 1});
+  reference.run();
+
+  auto ckpt_config = config;
+  ckpt_config.run.checkpoint_out = temp_path("cadence.ckpt");
+  ckpt_config.run.checkpoint_every_s = 1800.0;
+  const std::string snapshot = temp_path("cadence_first.ckpt");
+  par::ShardedDailyRun checkpointed(ckpt_config, {.shards = 1, .threads = 1});
+  std::size_t written = 0;
+  checkpointed.on_checkpoint = [&](const std::string& path) {
+    if (written++ == 0) {
+      std::ofstream out(snapshot, std::ios::binary);
+      out << slurp(path);
+    }
+  };
+  checkpointed.run();
+  ASSERT_GT(written, 1u);
+  const std::string first = slurp(snapshot);
+
+  par::ShardedDailyRun resumed(config, {.shards = 1, .threads = 1});
+  resumed.restore_snapshot(snapshot);
+  std::vector<std::string> paths;
+  resumed.on_checkpoint = [&](const std::string& path) {
+    paths.push_back(path);
+  };
+  resumed.run();
+  EXPECT_EQ(paths.size(), written - 1);
+  for (const std::string& path : paths) EXPECT_EQ(path, snapshot);
+  EXPECT_NE(slurp(snapshot), first);  // a newer snapshot replaced the first
+  EXPECT_EQ(events_csv(resumed), events_csv(reference));
+
+  // The newer snapshot resumes to the same end state.
+  par::ShardedDailyRun again(config, {.shards = 1, .threads = 1});
+  again.restore_snapshot(snapshot);
+  again.run();
+  EXPECT_EQ(events_csv(again), events_csv(reference));
+
+  std::remove(snapshot.c_str());
+  std::remove(ckpt_config.run.checkpoint_out.c_str());
+}
+
+TEST(ShardedTelemetry, ExportsTheRobustnessFamilyUnlabeledAtOneShard) {
+  // Checkpoint and audit series keep the single-calendar names, without a
+  // shard label, next to the coordinator's ecocloud_par_* counters.
+  auto config = small_config();
+  config.run.checkpoint_out = temp_path("telemetry.ckpt");
+  config.run.checkpoint_every_s = 3600.0;
+  config.run.audit_every_s = 1800.0;
+  par::ShardedDailyRun run(config, {.shards = 1, .threads = 1});
+  par::ShardedTelemetry telemetry(run, {});
+  run.run();
+  telemetry.finalize(config.horizon_s);
+  std::ostringstream out;
+  obs::write_prometheus(telemetry.registry(), out);
+  const std::string text = out.str();
+  const std::string written =
+      "ecocloud_checkpoints_written_total " +
+      std::to_string(run.stats().checkpoints_written) + "\n";
+  EXPECT_NE(text.find(written), std::string::npos) << text;
+  EXPECT_GT(run.stats().snapshot_bytes_last, 0u);
+  EXPECT_NE(text.find("ecocloud_checkpoint_bytes_last " +
+                      std::to_string(run.stats().snapshot_bytes_last) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("ecocloud_checkpoint_save_seconds_total "),
+            std::string::npos);
+  EXPECT_NE(text.find("ecocloud_audits_run_total " +
+                      std::to_string(run.stats().audits_run) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("ecocloud_audits_failed_total 0\n"), std::string::npos);
+  EXPECT_NE(text.find("ecocloud_audit_heals_total 0\n"), std::string::npos);
+  EXPECT_EQ(text.find("shard="), std::string::npos);
+  std::remove(config.run.checkpoint_out.c_str());
+}
+
+TEST(ShardedDailyRun, EventLogIsKeptOnlyWhenAskedFor) {
+  // Without an event log the trajectory is unchanged; snapshots record
+  // whether the shards were logging, and a logging run refuses to resume
+  // a snapshot whose log was never kept.
+  const auto config = small_config();
+  par::ShardedDailyRun logged(config, {.shards = 2, .threads = 1});
+  logged.run();
+
+  auto ckpt_config = config;
+  ckpt_config.run.checkpoint_out = temp_path("unlogged.ckpt");
+  ckpt_config.run.checkpoint_every_s = 3600.0;
+  const std::string snapshot = temp_path("unlogged_first.ckpt");
+  par::ShardedDailyRun unlogged(ckpt_config, {.shards = 2, .threads = 1});
+  unlogged.set_record_events(false);
+  bool captured = false;
+  unlogged.on_checkpoint = [&](const std::string& path) {
+    if (!captured) {
+      captured = true;
+      std::ofstream out(snapshot, std::ios::binary);
+      out << slurp(path);
+    }
+  };
+  unlogged.run();
+  ASSERT_TRUE(captured);
+  EXPECT_EQ(unlogged.stats().energy_joules, logged.stats().energy_joules);
+  EXPECT_EQ(unlogged.stats().migrations, logged.stats().migrations);
+  expect_samples_identical(unlogged.merged_samples(), logged.merged_samples());
+  EXPECT_EQ(unlogged.shard(0).event_log().size(), 0u);
+  EXPECT_THROW((void)unlogged.merged_events(), std::invalid_argument);
+  EXPECT_THROW(unlogged.set_record_events(true), std::invalid_argument);
+
+  par::ShardedDailyRun wants_log(config, {.shards = 2, .threads = 1});
+  EXPECT_THROW(wants_log.restore_snapshot(snapshot), ckpt::SnapshotError);
+
+  par::ShardedDailyRun resumed(config, {.shards = 2, .threads = 1});
+  resumed.set_record_events(false);
+  resumed.restore_snapshot(snapshot);
+  resumed.run();
+  expect_samples_identical(resumed.merged_samples(), logged.merged_samples());
+
+  std::remove(snapshot.c_str());
+  std::remove(ckpt_config.run.checkpoint_out.c_str());
+}
+
 TEST(ShardedDailyRun, RestoreRejectsDigestMismatch) {
   const auto config = small_config();
   const std::string snapshot = temp_path("digest.ckpt");
@@ -418,6 +566,129 @@ TEST(ShardedDailyRun, RestoreRejectsDigestMismatch) {
   EXPECT_THROW(wrong_sync.restore_snapshot(snapshot), std::exception);
 
   std::remove(snapshot.c_str());
+}
+
+TEST(ShardedDailyRun, RefusesSingleCalendarSnapshots) {
+  // A snapshot of a bare DailyScenario (the layout run-daily wrote before
+  // every run went through the shard stack) lacks the shard count in its
+  // digest and the coordinator section: refused cleanly, never half-applied.
+  const auto config = small_config();
+  const std::string snapshot = temp_path("single_calendar.ckpt");
+  {
+    scenario::DailyScenario daily(config);
+    ckpt::CheckpointManager manager(daily.simulator());
+    daily.register_checkpoint(manager);
+    daily.start();
+    daily.run_slice(sim::kHour);
+    manager.save(snapshot);
+  }
+  par::ShardedDailyRun run(config, {.shards = 1, .threads = 1});
+  EXPECT_THROW(run.restore_snapshot(snapshot), ckpt::SnapshotError);
+  EXPECT_FALSE(run.resumed());
+  std::remove(snapshot.c_str());
+}
+
+TEST(ShardedDailyRun, RejectsCorruptShardSectionCleanly) {
+  // A section with a valid CRC but ids outside the shard's plan must throw
+  // at restore instead of indexing out of bounds later.
+  const auto config = small_config();
+  const std::string good = temp_path("shard_section_good.ckpt");
+  const std::string bad = temp_path("shard_section_bad.ckpt");
+  par::ShardedDailyRun source(config, {.shards = 2, .threads = 1});
+  source.save_snapshot(good);
+  const std::size_t servers = source.plan().servers_in(0);
+
+  struct ShardSection {
+    std::vector<std::uint64_t> vm_trace;
+    std::uint64_t last_deployed = 0;
+    std::vector<std::uint64_t> wish_servers;
+    std::uint64_t flags = 0;
+  };
+  const ckpt::Snapshot original = ckpt::read_snapshot_file(good);
+  const ckpt::SnapshotSection* section = original.find("s0.shard");
+  ASSERT_NE(section, nullptr);
+  ShardSection parsed;
+  {
+    util::BinReader r(section->payload);
+    parsed.vm_trace.resize(static_cast<std::size_t>(r.u64()));
+    for (auto& row : parsed.vm_trace) row = r.u64();
+    parsed.last_deployed = r.u64();
+    ASSERT_EQ(r.u64(), 0u);  // barrier snapshots hold no pending wishes
+    parsed.flags = r.u64();
+    ASSERT_EQ(parsed.flags, servers);
+  }
+  const auto restore_with = [&](const ShardSection& forged) {
+    util::BinWriter w;
+    w.u64(forged.vm_trace.size());
+    for (std::uint64_t row : forged.vm_trace) w.u64(row);
+    w.u64(forged.last_deployed);
+    w.u64(forged.wish_servers.size());
+    for (std::uint64_t server : forged.wish_servers) {
+      w.f64(0.0);
+      w.u64(server);
+      w.boolean(false);
+    }
+    w.u64(forged.flags);
+    for (std::uint64_t i = 0; i < forged.flags; ++i) w.boolean(false);
+    ckpt::Snapshot snapshot;
+    for (const ckpt::SnapshotSection& s : original.sections) {
+      snapshot.add(s.name, s.name == "s0.shard" ? w.take() : s.payload);
+    }
+    ckpt::write_snapshot_file(snapshot, bad);
+    par::ShardedDailyRun target(config, {.shards = 2, .threads = 1});
+    target.restore_snapshot(bad);
+  };
+
+  ASSERT_NO_THROW(restore_with(parsed));  // the round trip itself is clean
+  auto wish_out_of_range = parsed;
+  wish_out_of_range.wish_servers = {servers};
+  EXPECT_THROW(restore_with(wish_out_of_range), ckpt::SnapshotError);
+  auto row_out_of_range = parsed;
+  row_out_of_range.vm_trace.push_back(config.num_vms);
+  EXPECT_THROW(restore_with(row_out_of_range), ckpt::SnapshotError);
+  auto wrong_slice_size = parsed;
+  wrong_slice_size.flags = servers + 1;
+  EXPECT_THROW(restore_with(wrong_slice_size), ckpt::SnapshotError);
+
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
+}
+
+TEST(ShardedDailyRun, RejectsCorruptCoordinatorSectionCleanly) {
+  const auto config = small_config();
+  const std::string good = temp_path("coordinator_good.ckpt");
+  const std::string bad = temp_path("coordinator_bad.ckpt");
+  par::ShardedDailyRun source(config, {.shards = 2, .threads = 1});
+  source.save_snapshot(good);
+  const ckpt::Snapshot original = ckpt::read_snapshot_file(good);
+
+  const auto restore_with = [&](const std::string& payload) {
+    ckpt::Snapshot snapshot;
+    for (const ckpt::SnapshotSection& s : original.sections) {
+      snapshot.add(s.name, s.name == "coordinator" ? payload : s.payload);
+    }
+    ckpt::write_snapshot_file(snapshot, bad);
+    par::ShardedDailyRun target(config, {.shards = 2, .threads = 1});
+    target.restore_snapshot(bad);
+  };
+  const std::string payload = original.find("coordinator")->payload;
+  ASSERT_NO_THROW(restore_with(payload));
+  // A trailing byte (the layout that still stored a warmup flag) and an
+  // event count no payload could hold are both refused, not half-applied.
+  EXPECT_THROW(restore_with(payload + '\0'), ckpt::SnapshotError);
+  util::BinWriter huge;
+  for (int i = 0; i < 8; ++i) huge.u64(0);  // clock, cadence, counters
+  huge.u64(std::uint64_t{1} << 60);         // coordinator event count
+  EXPECT_THROW(restore_with(huge.take()), ckpt::SnapshotError);
+  // A cadence no run could have written.
+  std::string negative_cadence = payload;
+  util::BinWriter cadence;
+  cadence.f64(-1.0);
+  negative_cadence.replace(8, 8, cadence.take());
+  EXPECT_THROW(restore_with(negative_cadence), ckpt::SnapshotError);
+
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
 }
 
 // -------------------------------------------------- epoch-order explorer

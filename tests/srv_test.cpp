@@ -258,6 +258,18 @@ TEST(ParseSubmission, NegativeBudgetRejected) {
   EXPECT_THROW((void)srv::parse_submission(std::string(kScenarioText) +
                                            "campaign.wall_budget_s = -1\n"),
                std::invalid_argument);
+  EXPECT_THROW((void)srv::parse_submission(std::string(kScenarioText) +
+                                           "campaign.event_budget = -1\n"),
+               std::invalid_argument);
+}
+
+TEST(ParseSubmission, NegativeFleetSizesRejected) {
+  EXPECT_THROW((void)srv::parse_submission(
+                   "campaign.client = x\nservers = -1\nvms = 50\n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)srv::parse_submission(
+                   "campaign.client = x\nservers = 4\nvms = -50\n"),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -333,6 +345,15 @@ TEST(CampaignServer, MalformedSubmissionIs400WithLineNumber) {
       make_request("POST", "/campaigns", "servers = 4\nwat = 1\n"));
   EXPECT_EQ(status_of(response), 400);
   EXPECT_NE(response.body.find("line"), std::string::npos) << response.body;
+  server.drain();
+}
+
+TEST(CampaignServer, NegativeServerCountIs400) {
+  srv::CampaignServer server(fast_config(temp_dir("negative_servers")));
+  server.start();
+  const auto response = server.handle(make_request(
+      "POST", "/campaigns", "campaign.client = x\nservers = -1\nvms = 50\n"));
+  EXPECT_EQ(status_of(response), 400) << response.body;
   server.drain();
 }
 

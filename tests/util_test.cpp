@@ -294,6 +294,8 @@ TEST(StringUtil, ParseInt) {
   EXPECT_EQ(util::parse_int("42"), 42);
   EXPECT_EQ(util::parse_int("-7"), -7);
   EXPECT_THROW(util::parse_int("4.2"), std::invalid_argument);
+  EXPECT_THROW(util::parse_int("99999999999999999999"), std::invalid_argument);
+  EXPECT_THROW(util::parse_int("-99999999999999999999"), std::invalid_argument);
 }
 
 TEST(StringUtil, StartsWith) {
