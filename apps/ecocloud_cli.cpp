@@ -15,6 +15,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -949,9 +950,14 @@ int gen_traces(Options& options) {
   const std::uint64_t seed = options.get_uint("seed", 1);
   options.reject_unknown();
 
+  // The step-count cast below is only defined for values size_t can hold.
+  const double samples = hours * 3600.0 / 300.0;
+  util::require(std::isfinite(hours) && hours > 0.0 && samples < 1e19,
+                "--hours must be finite, > 0 and small enough to count its steps");
+
   trace::WorkloadModel model;
   util::Rng rng(seed);
-  const auto steps = static_cast<std::size_t>(hours * 3600.0 / 300.0) + 1;
+  const auto steps = static_cast<std::size_t>(samples) + 1;
   const auto set = trace::TraceSet::generate(model, vms, steps, rng);
   trace::write_planetlab_dir(set, *out_dir);
   std::printf("wrote %zu traces x %zu samples (5-min cadence) to %s\n", vms,

@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <optional>
+#include <utility>
 
 #include "ecocloud/scenario/scenario.hpp"
 
@@ -96,12 +98,13 @@ struct Outcome {
   double overload_pct;
 };
 
-Outcome run_greedy(const trace::TraceSet& traces) {
+Outcome run_greedy(std::shared_ptr<const trace::TraceSet> matrix) {
   sim::Simulator simulator;
   dc::DataCenter datacenter;
   scenario::FleetConfig fleet;
   fleet.num_servers = 100;
   scenario::build_fleet(datacenter, fleet);
+  trace::TraceSource traces(std::move(matrix));
   core::TraceDriver driver(simulator, datacenter, traces);
   GreedyPacker packer(simulator, datacenter);
   packer.start();
@@ -135,12 +138,13 @@ Outcome run_ecocloud(const trace::TraceSet& traces) {
 int main() {
   trace::WorkloadModel model;
   util::Rng rng(31337);
-  const auto traces = trace::TraceSet::generate(model, 1500, 24 * 12 + 2, rng);
+  const auto traces = std::make_shared<const trace::TraceSet>(
+      trace::TraceSet::generate(model, 1500, 24 * 12 + 2, rng));
 
   std::printf("1500 VMs, 100 servers, 24 h — ecoCloud vs a hand-rolled policy\n\n");
   std::printf("%-14s %8s %8s %11s %10s\n", "policy", "kWh", "active",
               "migrations", "overload");
-  const Outcome eco = run_ecocloud(traces);
+  const Outcome eco = run_ecocloud(*traces);
   std::printf("%-14s %8.1f %8zu %11llu %9.4f%%\n", "ecoCloud", eco.energy_kwh,
               eco.active, static_cast<unsigned long long>(eco.migrations),
               eco.overload_pct);

@@ -31,7 +31,7 @@ class OpenSystemDriver {
   /// \param nu          per-VM departure rate (1/second, > 0).
   OpenSystemDriver(sim::Simulator& simulator, dc::DataCenter& datacenter,
                    EcoCloudController& controller, TraceDriver& trace_driver,
-                   const trace::TraceSet& traces, util::Rng rng,
+                   util::Rng rng,
                    trace::RateFn lambda, double lambda_max, double nu);
 
   /// Optionally log events for later rate estimation.
@@ -68,7 +68,6 @@ class OpenSystemDriver {
   dc::DataCenter& dc_;
   EcoCloudController& controller_;
   TraceDriver& trace_driver_;
-  const trace::TraceSet& traces_;
   util::Rng rng_;
   trace::PoissonArrivals arrivals_;
   double nu_;

@@ -6,19 +6,16 @@
 ///
 /// Each mapped VM's demand is refreshed from its trace series at every
 /// 5-minute tick (the CoMon sampling period), exactly as the paper's
-/// trace-driven simulations do. The driver reads from one of two sources:
-/// a materialized trace::TraceSet (the full sample matrix, O(VMs x
-/// horizon) memory) or a trace::StreamingTraces cursor bank (O(VMs)
-/// memory, samples produced lazily as the clock advances — DESIGN.md §14).
-/// Both sources yield bit-identical demands, so the event stream does not
-/// depend on which one backs the driver.
+/// trace-driven simulations do. The demand comes from a trace::TraceSource,
+/// which hides whether a materialized matrix or a streaming cursor bank
+/// stores it (DESIGN.md §14); both yield bit-identical demands, so the event
+/// stream does not depend on the store.
 
 #include <unordered_map>
 
 #include "ecocloud/dc/datacenter.hpp"
 #include "ecocloud/sim/simulator.hpp"
-#include "ecocloud/trace/streaming_traces.hpp"
-#include "ecocloud/trace/trace_set.hpp"
+#include "ecocloud/trace/trace_source.hpp"
 #include "ecocloud/util/binio.hpp"
 
 namespace ecocloud::core {
@@ -28,14 +25,11 @@ class TraceDriver {
   /// Snapshot-stable event kinds (tag_owner::kTraceDriver). Append only.
   enum EventKind : std::uint16_t { kEvTick = 1 };
 
+  /// Drive demands from \p source, which must outlive the driver. The
+  /// driver moves the source to the current step (monotonically) as ticks
+  /// and VM arrivals query it.
   TraceDriver(sim::Simulator& simulator, dc::DataCenter& datacenter,
-              const trace::TraceSet& traces);
-
-  /// Streaming-source driver. The cursor bank is advanced on demand
-  /// (monotonically) as ticks and VM arrivals query it; it must outlive
-  /// the driver, like the TraceSet in the materialized overload.
-  TraceDriver(sim::Simulator& simulator, dc::DataCenter& datacenter,
-              trace::StreamingTraces& streaming);
+              trace::TraceSource& source);
 
   /// Bind DataCenter VM \p vm to trace row \p trace_index and set its
   /// demand to the current sample.
@@ -47,10 +41,8 @@ class TraceDriver {
   /// Schedule the periodic demand refresh. Call once.
   void start();
 
-  /// Demand (MHz) that trace row \p trace_index prescribes right now.
-  [[nodiscard]] double current_demand_mhz(std::size_t trace_index) const;
-
-  [[nodiscard]] std::size_t mapped_count() const { return vm_to_trace_.size(); }
+  /// The rows this driver replays.
+  [[nodiscard]] const trace::TraceSource& source() const { return source_; }
 
   /// Current VM -> trace-row binding. The sharded auditor walks this to
   /// assert each global trace row is driven by at most one shard.
@@ -63,26 +55,17 @@ class TraceDriver {
   /// iteration order preserved: tick() refreshes demands in map order and
   /// the DataCenter accumulates load deltas in that order, so a different
   /// order would change floating-point rounding and break bit-exact resume.
-  /// A streaming source carries no snapshot state of its own: it restarts
-  /// at step 0 and deterministically fast-forwards on the first query after
-  /// a restore.
+  /// The source carries no snapshot state (trace::TraceSource).
   void save_state(util::BinWriter& w) const;
   void load_state(util::BinReader& r);
   [[nodiscard]] sim::Simulator::Callback rebuild_event(const sim::EventTag& tag);
 
  private:
   void tick();
-  [[nodiscard]] std::size_t source_num_vms() const;
-  [[nodiscard]] sim::SimTime source_sample_period_s() const;
-  /// Move streaming cursors to the step active at \p now. No-op for a
-  /// materialized source or when already there (ticks and same-tick VM
-  /// arrivals land on the same step regardless of event order).
-  void sync_streaming(sim::SimTime now) const;
 
   sim::Simulator& sim_;
   dc::DataCenter& dc_;
-  const trace::TraceSet* traces_ = nullptr;
-  trace::StreamingTraces* streaming_ = nullptr;
+  trace::TraceSource& source_;
   std::unordered_map<dc::VmId, std::size_t> vm_to_trace_;
   bool started_ = false;
 };

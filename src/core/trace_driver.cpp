@@ -11,47 +11,24 @@
 namespace ecocloud::core {
 
 TraceDriver::TraceDriver(sim::Simulator& simulator, dc::DataCenter& datacenter,
-                         const trace::TraceSet& traces)
-    : sim_(simulator), dc_(datacenter), traces_(&traces) {}
-
-TraceDriver::TraceDriver(sim::Simulator& simulator, dc::DataCenter& datacenter,
-                         trace::StreamingTraces& streaming)
-    : sim_(simulator), dc_(datacenter), streaming_(&streaming) {}
-
-std::size_t TraceDriver::source_num_vms() const {
-  return traces_ != nullptr ? traces_->num_vms() : streaming_->num_vms();
-}
-
-sim::SimTime TraceDriver::source_sample_period_s() const {
-  return traces_ != nullptr ? traces_->sample_period_s()
-                            : streaming_->sample_period_s();
-}
-
-void TraceDriver::sync_streaming(sim::SimTime now) const {
-  if (streaming_ != nullptr) streaming_->advance_to(streaming_->step_at(now));
-}
+                         trace::TraceSource& source)
+    : sim_(simulator), dc_(datacenter), source_(source) {}
 
 void TraceDriver::map_vm(std::size_t trace_index, dc::VmId vm) {
-  util::require(trace_index < source_num_vms(),
+  util::require(trace_index < source_.num_vms(),
                 "TraceDriver::map_vm: bad trace index");
   vm_to_trace_[vm] = trace_index;
-  dc_.set_vm_demand(sim_.now(), vm, current_demand_mhz(trace_index));
+  // Ticks and same-tick arrivals land on the same step in any event order.
+  source_.advance_to(source_.step_at(sim_.now()));
+  dc_.set_vm_demand(sim_.now(), vm, source_.demand_mhz(trace_index));
 }
 
 void TraceDriver::unmap_vm(dc::VmId vm) { vm_to_trace_.erase(vm); }
 
-double TraceDriver::current_demand_mhz(std::size_t trace_index) const {
-  if (traces_ != nullptr) {
-    return traces_->demand_mhz_at(trace_index, traces_->step_at(sim_.now()));
-  }
-  sync_streaming(sim_.now());
-  return streaming_->demand_mhz_current(trace_index);
-}
-
 void TraceDriver::start() {
   util::ensure(!started_, "TraceDriver::start called twice");
   started_ = true;
-  const sim::SimTime period = source_sample_period_s();
+  const sim::SimTime period = source_.sample_period_s();
   sim_.schedule_periodic(period,
                          sim::EventTag{sim::tag_owner::kTraceDriver, kEvTick, 0, 0},
                          [this] { tick(); }, period);
@@ -71,7 +48,7 @@ void TraceDriver::load_state(util::BinReader& r) {
   util::load_unordered(r, vm_to_trace_, [this](util::BinReader& in) {
     const auto vm = static_cast<dc::VmId>(in.u64());
     const auto trace_index = static_cast<std::size_t>(in.u64());
-    util::require(trace_index < source_num_vms(),
+    util::require(trace_index < source_.num_vms(),
                   "TraceDriver: snapshot trace index out of range");
     return std::make_pair(vm, trace_index);
   });
@@ -86,17 +63,12 @@ sim::Simulator::Callback TraceDriver::rebuild_event(const sim::EventTag& tag) {
 void TraceDriver::tick() {
   util::ScopedPhase profile(util::Phase::kTraceAdvance);
   const sim::SimTime now = sim_.now();
-  if (traces_ != nullptr) {
-    const std::size_t step = traces_->step_at(now);
+  source_.advance_to(source_.step_at(now));
+  source_.visit_rows([&](const auto& rows) {
     for (const auto& [vm, trace_index] : vm_to_trace_) {
-      dc_.set_vm_demand(now, vm, traces_->demand_mhz_at(trace_index, step));
+      dc_.set_vm_demand(now, vm, rows.demand_mhz(trace_index));
     }
-    return;
-  }
-  sync_streaming(now);
-  for (const auto& [vm, trace_index] : vm_to_trace_) {
-    dc_.set_vm_demand(now, vm, streaming_->demand_mhz_current(trace_index));
-  }
+  });
 }
 
 }  // namespace ecocloud::core

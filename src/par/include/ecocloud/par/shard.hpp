@@ -8,19 +8,14 @@
 /// event calendar, datacenter slice, trace driver, ecoCloud controller with
 /// its own RNG streams, metrics collector, fault injector — and is built
 /// over the shard's FleetSlice (DESIGN.md §12), so the fleet, seed
-/// derivation and fault localization exist in one place. Its workload
-/// source is one of two (DESIGN.md §14/§17):
-///  * materialized: all shards share one immutable TraceSet (read-only,
-///    so thread-safe);
-///  * streaming: each shard OWNS the trace::StreamingTraces cursor bank
-///    of its trace rows (ShardPlan::shard_of_trace partitioning) and
-///    advances it privately — O(VMs/K) memory per shard, no sharing.
+/// derivation and fault localization exist in one place, and it reads
+/// demand through its own trace::TraceSource (DESIGN.md §14/§17).
 /// On top the shard keeps its VM -> global trace row map, the migration
 /// wishes recorded for the coordinator, and its event-log segment.
 /// Between epoch barriers a shard never touches another shard's state;
 /// everything cross-shard goes through the coordinator (sharded_runner),
-/// which runs serially — including adopt_trace_row, which copies a
-/// handed-off VM's cursor from its owner bank into the destination bank.
+/// which runs serially — including adopt_trace_row, which makes a
+/// handed-off VM's trace row drivable on its destination shard.
 
 #include <cstdint>
 #include <optional>
@@ -52,7 +47,7 @@ class Shard {
   /// \p shard_id of scenario::generate_daily_traces — the partition rule
   /// and ShardPlan::shard_of_trace agree by construction).
   Shard(const scenario::DailyConfig& config, const ShardPlan& plan,
-        std::size_t shard_id, scenario::TraceSource traces);
+        std::size_t shard_id, trace::TraceSource traces);
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -109,10 +104,11 @@ class Shard {
   /// normal departure path (which also re-evaluates hibernation).
   void release_vm(dc::VmId vm);
 
-  /// Streaming mode only: copy global trace row \p trace_index from
-  /// \p home's bank into this shard's bank so deploy/accept_transfer can
-  /// drive it here. No-op when already resident; serial coordinator code
-  /// only, at a barrier (both banks at the same step).
+  /// Make global trace row \p trace_index drivable here by adopting it
+  /// from \p home's source (trace::TraceSource::adopt_row), so
+  /// deploy/accept_transfer can drive it. No-op when already resident;
+  /// serial coordinator code only, at a barrier (both sources at the same
+  /// step).
   void adopt_trace_row(std::size_t trace_index, const Shard& home);
 
   /// Drain the wishes recorded since the previous barrier.
@@ -150,11 +146,6 @@ class Shard {
   }
   [[nodiscard]] const faults::FaultInjector* fault_injector() const {
     return daily_.fault_injector();
-  }
-  /// The owned cursor bank of a streaming-mode shard; null when the shard
-  /// reads from a shared materialized TraceSet.
-  [[nodiscard]] const trace::StreamingTraces* streaming_bank() const {
-    return daily_.streaming();
   }
 
  private:

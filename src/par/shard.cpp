@@ -10,7 +10,7 @@
 namespace ecocloud::par {
 
 Shard::Shard(const scenario::DailyConfig& config, const ShardPlan& plan,
-             std::size_t shard_id, scenario::TraceSource traces)
+             std::size_t shard_id, trace::TraceSource traces)
     : plan_(plan),
       id_(shard_id),
       daily_(config, scenario::FleetSlice{plan.num_shards(), shard_id},
@@ -34,9 +34,7 @@ void Shard::record_events() {
 }
 
 void Shard::adopt_trace_row(std::size_t trace_index, const Shard& home) {
-  util::require(daily_.streaming() != nullptr && home.streaming_bank() != nullptr,
-                "Shard::adopt_trace_row: both shards must be streaming-mode");
-  daily_.streaming()->adopt_row(trace_index, *home.streaming_bank());
+  daily_.trace_source().adopt_row(trace_index, home.daily_.trace_source());
 }
 
 dc::VmId Shard::create_vm(std::size_t trace_index) {

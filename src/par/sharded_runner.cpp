@@ -35,14 +35,10 @@ ShardedDailyRun::ShardedDailyRun(scenario::DailyConfig config, ParConfig par)
                 "ShardedDailyRun: rack topology needs a single shard "
                 "(invitations would need cross-shard rack scoping)");
 
-  // streaming_traces is honored, never silently downgraded: every option
-  // the sharded engine supports composes with the cursor banks (snapshots
-  // regenerate and re-adopt them, audits read only the VM->row map,
-  // faults never sample demand). Any future option that requires the
-  // materialized sample matrix must fail fast here, in the CLI's
-  // util::require style, rather than fall back to O(VMs x horizon) memory
-  // behind the operator's back.
-  std::vector<scenario::TraceSource> sources =
+  // The configured trace store is honored: every option composes with
+  // cursor banks, so an option that ever needs the O(VMs x horizon) matrix
+  // must fail fast here rather than switch stores behind the operator.
+  std::vector<trace::TraceSource> sources =
       scenario::generate_daily_traces(config_, par_.shards);
   shards_.reserve(par_.shards);
   for (std::size_t k = 0; k < par_.shards; ++k) {
@@ -230,19 +226,15 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
         " — the resumed run must enable the same subsystems (faults) and "
         "shard count as the run that wrote the snapshot");
   }
-  if (config_.streaming_traces) {
-    // Streaming banks carry no snapshot sections: they were regenerated at
-    // step 0 by the constructor and will fast-forward deterministically on
-    // the first tick. What the fresh banks lack is the rows handed off
-    // across shards before the snapshot — re-adopt every mapped row that
-    // lives away from its owner bank (order-independent: adoption copies
-    // owner-bank state and draws nothing).
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      for (const auto& [vm, row] : shards_[k]->trace_driver().mapped_vms()) {
-        (void)vm;
-        const std::size_t home = plan_.shard_of_trace(row);
-        if (home != k) shards_[k]->adopt_trace_row(row, *shards_[home]);
-      }
+  // Trace sources carry no snapshot state: the constructor regenerated
+  // them at step 0 and the first tick fast-forwards them. Fresh cursor
+  // banks lack the rows handed off before the snapshot, so every mapped
+  // row is re-adopted from its owner (order-independent: adoption draws
+  // nothing, and is a no-op for resident rows).
+  for (auto& shard : shards_) {
+    for (const auto& [vm, row] : shard->trace_driver().mapped_vms()) {
+      (void)vm;
+      shard->adopt_trace_row(row, *shards_[plan_.shard_of_trace(row)]);
     }
   }
   resume_path_ = path;
@@ -312,12 +304,10 @@ void ShardedDailyRun::run() {
         shards_[owner]->abandon_last_deploy();
         for (std::size_t off = 1; off < K; ++off) {
           Shard& next = *shards_[(owner + off) % K];
-          // Streaming banks hold only the owner's rows: the retry shard
-          // adopts a copy of the cursor (all banks sit at step 0 here)
-          // before it can price and drive the VM.
-          if (config_.streaming_traces) {
-            next.adopt_trace_row(i, *shards_[owner]);
-          }
+          // A cursor bank holds only its owner's rows: the retry shard
+          // adopts the row (all sources sit at step 0 here) before it can
+          // price and drive the VM.
+          next.adopt_trace_row(i, *shards_[owner]);
           if (next.deploy(i)) break;
           next.abandon_last_deploy();
         }
@@ -510,14 +500,11 @@ void ShardedDailyRun::resolve_wish(std::size_t source_shard,
     if (!dest) continue;
 
     const std::size_t row = src.trace_of(pick);
-    if (config_.streaming_traces) {
-      // Copy the row's cursor from its OWNER bank (not necessarily the
-      // source shard: the VM may be on its second hand-off, but the
-      // owner's copy is identical — a row's state is a pure function of
-      // its captured cursor and the step, and every bank sits at this
-      // barrier's step). Draws no RNG, so materialized runs are unchanged.
-      shards_[d]->adopt_trace_row(row, *shards_[plan_.shard_of_trace(row)]);
-    }
+    // Adopt the row from its OWNER shard (not necessarily the source: the
+    // VM may be on its second hand-off, but the owner's copy is identical —
+    // a row's state is a pure function of its captured cursor and the
+    // step, and every source sits at this barrier's step). Draws no RNG.
+    shards_[d]->adopt_trace_row(row, *shards_[plan_.shard_of_trace(row)]);
     src.release_vm(pick);
     shards_[d]->accept_transfer(now, row, *dest);
 

@@ -16,7 +16,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "ecocloud/baseline/centralized_controller.hpp"
@@ -27,8 +26,7 @@
 #include "ecocloud/faults/fault_injector.hpp"
 #include "ecocloud/metrics/collector.hpp"
 #include "ecocloud/trace/rate_estimator.hpp"
-#include "ecocloud/trace/streaming_traces.hpp"
-#include "ecocloud/trace/trace_set.hpp"
+#include "ecocloud/trace/trace_source.hpp"
 
 namespace ecocloud::ckpt {
 class CheckpointManager;
@@ -95,12 +93,10 @@ struct DailyConfig {
   core::EcoCloudParams params;  // paper defaults
   trace::WorkloadConfig workload;
   std::uint64_t seed = 20130520;  // arbitrary but fixed
-  /// Back the trace driver with a trace::StreamingTraces cursor bank
-  /// instead of a materialized trace::TraceSet: O(VMs) memory instead of
-  /// O(VMs x horizon), same event stream bit for bit (DESIGN.md §14).
-  /// Deliberately NOT part of the config digest — snapshots are portable
-  /// across trace-memory modes. Ignored (forced off) when traces are
-  /// supplied externally.
+  /// Store the synthetic traces as streaming cursor banks, O(VMs) memory,
+  /// instead of an O(VMs x horizon) matrix; same event stream bit for bit
+  /// (DESIGN.md §14). Not in the config digest, so snapshots are portable
+  /// across the two. Forced off when traces are supplied externally.
   bool streaming_traces = false;
   /// Skip accounting during the initial consolidation transient.
   sim::SimTime warmup_s = 0.0;
@@ -132,19 +128,14 @@ enum class Algorithm { kEcoCloud, kCentralized, kStatic };
 [[nodiscard]] std::string daily_config_digest(const DailyConfig& config,
                                               const char* algo);
 
-/// Where a DailyScenario reads VM demand from: a materialized TraceSet
-/// (shared read-only when several fleet slices drive from it), or a
-/// streaming cursor bank the scenario owns (DESIGN.md §14/§17).
-using TraceSource =
-    std::variant<std::shared_ptr<const trace::TraceSet>, trace::StreamingTraces>;
-
-/// The synthetic workload of a daily run, one TraceSource per fleet slice.
-/// It is generated once from the bare seed, so the demand is a function of
-/// the config alone and not of the slicing: materialized mode hands every
-/// slice the same TraceSet, streaming mode (config.streaming_traces) gives
-/// slice k the cursor bank of the trace rows congruent to k modulo
-/// \p num_slices. Both modes yield the same samples bit for bit.
-[[nodiscard]] std::vector<TraceSource> generate_daily_traces(
+/// The synthetic workload of a daily run, one trace::TraceSource per fleet
+/// slice. It is generated once from the bare seed, so the demand is a
+/// function of the config alone and not of the slicing: materialized mode
+/// has every slice read one shared TraceSet, streaming mode
+/// (config.streaming_traces) gives slice k the cursor bank of the trace rows
+/// congruent to k modulo \p num_slices. Both modes yield the same samples
+/// bit for bit.
+[[nodiscard]] std::vector<trace::TraceSource> generate_daily_traces(
     const DailyConfig& config, std::size_t num_slices);
 
 /// A fully wired daily-cycle experiment. Construct, then run().
@@ -170,7 +161,7 @@ class DailyScenario {
 
   /// One fleet slice of a sharded ecoCloud run, driving its VMs from
   /// \p traces (this slice's entry of generate_daily_traces).
-  DailyScenario(DailyConfig config, FleetSlice slice, TraceSource traces);
+  DailyScenario(DailyConfig config, FleetSlice slice, trace::TraceSource traces);
 
   /// Deploy all VMs at t=0 and simulate the full horizon. Equivalent to
   /// start() + run_slice(horizon) + finish().
@@ -234,14 +225,9 @@ class DailyScenario {
   [[nodiscard]] const sim::Simulator& simulator() const { return sim_; }
   [[nodiscard]] dc::DataCenter& datacenter() { return *dc_; }
   [[nodiscard]] const dc::DataCenter& datacenter() const { return *dc_; }
-  /// The materialized trace set. Throws when the scenario runs in
-  /// streaming mode (config.streaming_traces) — use streaming() there.
-  [[nodiscard]] const trace::TraceSet& traces() const;
-  /// The cursor bank backing a streaming-mode run; null otherwise.
-  [[nodiscard]] const trace::StreamingTraces* streaming() const {
-    return streaming_.get();
-  }
-  [[nodiscard]] trace::StreamingTraces* streaming() { return streaming_.get(); }
+  /// The demand rows this scenario replays.
+  [[nodiscard]] trace::TraceSource& trace_source() { return *traces_; }
+  [[nodiscard]] const trace::TraceSource& trace_source() const { return *traces_; }
   [[nodiscard]] core::TraceDriver& trace_driver() { return *trace_driver_; }
   [[nodiscard]] const core::TraceDriver& trace_driver() const {
     return *trace_driver_;
@@ -269,7 +255,7 @@ class DailyScenario {
   /// The one place a daily run is wired, for every constructor: trace
   /// source, fleet slice, trace driver, controller, collector, fault
   /// injector.
-  void init(FleetSlice slice, TraceSource traces,
+  void init(FleetSlice slice, trace::TraceSource traces,
             const baseline::CentralizedParams& centralized_params);
 
   DailyConfig config_;
@@ -277,9 +263,7 @@ class DailyScenario {
   sim::Simulator sim_;
   std::unique_ptr<net::Topology> topology_;
   std::unique_ptr<dc::DataCenter> dc_;
-  /// Exactly one of the two trace sources is set.
-  std::shared_ptr<const trace::TraceSet> traces_;
-  std::unique_ptr<trace::StreamingTraces> streaming_;
+  std::unique_ptr<trace::TraceSource> traces_;
   std::unique_ptr<core::TraceDriver> trace_driver_;
   std::unique_ptr<core::EcoCloudController> eco_;
   std::unique_ptr<baseline::CentralizedController> central_;
@@ -334,7 +318,6 @@ class ConsolidationScenario {
   [[nodiscard]] const ConsolidationConfig& config() const { return config_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] dc::DataCenter& datacenter() { return *dc_; }
-  [[nodiscard]] const trace::TraceSet& traces() const { return *traces_; }
   [[nodiscard]] metrics::MetricsCollector& collector() { return *collector_; }
   [[nodiscard]] core::EcoCloudController& controller() { return *eco_; }
   [[nodiscard]] trace::RateEstimator& rates() { return *rates_; }
@@ -354,7 +337,7 @@ class ConsolidationScenario {
   ConsolidationConfig config_;
   sim::Simulator sim_;
   std::unique_ptr<dc::DataCenter> dc_;
-  std::unique_ptr<trace::TraceSet> traces_;
+  std::unique_ptr<trace::TraceSource> traces_;
   std::unique_ptr<core::TraceDriver> trace_driver_;
   std::unique_ptr<core::EcoCloudController> eco_;
   std::unique_ptr<core::OpenSystemDriver> open_;

@@ -114,6 +114,29 @@ faults::FaultParams localize_faults(const faults::FaultParams& global,
   return local;
 }
 
+/// The state sections and event owners both scenarios register first, in
+/// snapshot order: datacenter, controller, trace driver.
+void register_engine(ckpt::CheckpointManager& manager, dc::DataCenter& datacenter,
+                     core::EcoCloudController& eco, core::TraceDriver& trace_driver) {
+  manager.add_section(
+      "datacenter", [&datacenter](util::BinWriter& w) { datacenter.save_state(w); },
+      [&datacenter](util::BinReader& r) { datacenter.load_state(r); });
+  manager.add_section(
+      "controller", [&eco](util::BinWriter& w) { eco.save_state(w); },
+      [&eco](util::BinReader& r) { eco.load_state(r); });
+  manager.add_section(
+      "trace_driver", [&trace_driver](util::BinWriter& w) { trace_driver.save_state(w); },
+      [&trace_driver](util::BinReader& r) { trace_driver.load_state(r); });
+  manager.add_owner(
+      sim::tag_owner::kController,
+      [&eco](const sim::EventTag& tag) { return eco.rebuild_event(tag); },
+      [&eco](const sim::EventTag& tag, sim::EventHandle h) { eco.bind_event(tag, h); });
+  manager.add_owner(sim::tag_owner::kTraceDriver,
+                    [&trace_driver](const sim::EventTag& tag) {
+                      return trace_driver.rebuild_event(tag);
+                    });
+}
+
 }  // namespace
 
 void build_fleet(dc::DataCenter& datacenter, const FleetConfig& fleet,
@@ -128,15 +151,15 @@ void build_fleet(dc::DataCenter& datacenter, const FleetConfig& fleet,
   }
 }
 
-std::vector<TraceSource> generate_daily_traces(const DailyConfig& config,
-                                               std::size_t num_slices) {
+std::vector<trace::TraceSource> generate_daily_traces(const DailyConfig& config,
+                                                      std::size_t num_slices) {
   util::Rng rng(config.seed);
   const auto num_steps =
       static_cast<std::size_t>(config.horizon_s /
                                config.workload.sample_period_s) +
       2;
   const trace::WorkloadModel model(config.workload);
-  std::vector<TraceSource> sources;
+  std::vector<trace::TraceSource> sources;
   sources.reserve(num_slices);
   // Both generators consume the seed stream identically, so the two modes
   // produce the same event stream bit for bit (engine_regression_test pins
@@ -150,7 +173,7 @@ std::vector<TraceSource> generate_daily_traces(const DailyConfig& config,
   } else {
     const auto shared = std::make_shared<const trace::TraceSet>(
         trace::TraceSet::generate(model, config.num_vms, num_steps, rng));
-    sources.assign(num_slices, shared);
+    for (std::size_t k = 0; k < num_slices; ++k) sources.emplace_back(shared);
   }
   return sources;
 }
@@ -170,34 +193,24 @@ DailyScenario::DailyScenario(DailyConfig config, trace::TraceSet traces,
   // Externally supplied traces are materialized by definition.
   config_.streaming_traces = false;
   config_.num_vms = traces.num_vms();
-  init({}, std::make_shared<const trace::TraceSet>(std::move(traces)),
+  init({}, trace::TraceSource(std::make_shared<const trace::TraceSet>(std::move(traces))),
        centralized_params);
 }
 
 DailyScenario::DailyScenario(DailyConfig config, FleetSlice slice,
-                             TraceSource traces)
+                             trace::TraceSource traces)
     : config_(std::move(config)), algorithm_(Algorithm::kEcoCloud) {
   init(slice, std::move(traces), {});
 }
 
-void DailyScenario::init(FleetSlice slice, TraceSource traces,
+void DailyScenario::init(FleetSlice slice, trace::TraceSource traces,
                          const baseline::CentralizedParams& centralized_params) {
   config_.params.validate();
-  if (auto* shared = std::get_if<std::shared_ptr<const trace::TraceSet>>(&traces)) {
-    traces_ = std::move(*shared);
-  } else {
-    streaming_ = std::make_unique<trace::StreamingTraces>(
-        std::move(std::get<trace::StreamingTraces>(traces)));
-  }
+  traces_ = std::make_unique<trace::TraceSource>(std::move(traces));
 
   dc_ = std::make_unique<dc::DataCenter>();
   build_fleet(*dc_, config_.fleet, slice);
-
-  if (streaming_) {
-    trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *streaming_);
-  } else {
-    trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *traces_);
-  }
+  trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *traces_);
 
   util::Rng rng(slice_seed(config_.seed, slice.index));
   if (algorithm_ == Algorithm::kEcoCloud) {
@@ -242,9 +255,7 @@ void DailyScenario::begin_deploy() {
 }
 
 dc::VmId DailyScenario::create_vm(std::size_t trace_index) {
-  const double ram_mb = streaming_ ? streaming_->ram_mb(trace_index)
-                                   : traces_->ram_mb(trace_index);
-  const dc::VmId vm = dc_->create_vm(0.0, ram_mb);
+  const dc::VmId vm = dc_->create_vm(0.0, traces_->ram_mb(trace_index));
   trace_driver_->map_vm(trace_index, vm);  // sets the live trace demand
   return vm;
 }
@@ -309,13 +320,6 @@ void DailyScenario::run_resumed() {
   finish();
 }
 
-const trace::TraceSet& DailyScenario::traces() const {
-  util::require(traces_ != nullptr,
-                "DailyScenario::traces: run is in streaming mode "
-                "(config.streaming_traces) — no materialized TraceSet exists");
-  return *traces_;
-}
-
 std::string daily_config_digest(const DailyConfig& config, const char* algo) {
   std::string digest = "daily algo=";
   digest += algo;
@@ -360,15 +364,7 @@ void DailyScenario::register_checkpoint(ckpt::CheckpointManager& manager) {
   manager.add_section(
       "scenario", [this](util::BinWriter& w) { w.boolean(warmup_done_); },
       [this](util::BinReader& r) { warmup_done_ = r.boolean(); });
-  manager.add_section(
-      "datacenter", [this](util::BinWriter& w) { dc_->save_state(w); },
-      [this](util::BinReader& r) { dc_->load_state(r); });
-  manager.add_section(
-      "controller", [this](util::BinWriter& w) { eco_->save_state(w); },
-      [this](util::BinReader& r) { eco_->load_state(r); });
-  manager.add_section(
-      "trace_driver", [this](util::BinWriter& w) { trace_driver_->save_state(w); },
-      [this](util::BinReader& r) { trace_driver_->load_state(r); });
+  register_engine(manager, *dc_, *eco_, *trace_driver_);
   manager.add_section(
       "collector", [this](util::BinWriter& w) { collector_->save_state(w); },
       [this](util::BinReader& r) { collector_->load_state(r); });
@@ -378,15 +374,6 @@ void DailyScenario::register_checkpoint(ckpt::CheckpointManager& manager) {
         [this](util::BinReader& r) { injector_->load_state(r); });
   }
 
-  manager.add_owner(
-      sim::tag_owner::kController,
-      [this](const sim::EventTag& tag) { return eco_->rebuild_event(tag); },
-      [this](const sim::EventTag& tag, sim::EventHandle handle) {
-        eco_->bind_event(tag, handle);
-      });
-  manager.add_owner(sim::tag_owner::kTraceDriver, [this](const sim::EventTag& tag) {
-    return trace_driver_->rebuild_event(tag);
-  });
   manager.add_owner(sim::tag_owner::kCollector, [this](const sim::EventTag& tag) {
     return collector_->rebuild_event(tag);
   });
@@ -420,8 +407,8 @@ ConsolidationScenario::ConsolidationScenario(ConsolidationConfig config)
   const auto num_steps =
       static_cast<std::size_t>(config_.horizon_s / config_.workload.sample_period_s) + 2;
   trace::WorkloadModel model(config_.workload);
-  traces_ = std::make_unique<trace::TraceSet>(
-      trace::TraceSet::generate(model, 6000, num_steps, rng));
+  traces_ = std::make_unique<trace::TraceSource>(std::make_shared<const trace::TraceSet>(
+      trace::TraceSet::generate(model, 6000, num_steps, rng)));
 
   trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *traces_);
   eco_ = std::make_unique<core::EcoCloudController>(sim_, *dc_, config_.params,
@@ -438,7 +425,7 @@ ConsolidationScenario::ConsolidationScenario(ConsolidationConfig config)
       static_cast<double>(target) * nu_rate * diurnal.max() * 1.001;
 
   open_ = std::make_unique<core::OpenSystemDriver>(sim_, *dc_, *eco_, *trace_driver_,
-                                                   *traces_, rng.split(2), lambda_fn,
+                                                   rng.split(2), lambda_fn,
                                                    lambda_max, nu_rate);
   open_->set_rate_estimator(rates_.get());
 
@@ -502,15 +489,7 @@ std::string ConsolidationScenario::config_digest() const {
 void ConsolidationScenario::register_checkpoint(ckpt::CheckpointManager& manager) {
   manager.set_config_digest(config_digest());
 
-  manager.add_section(
-      "datacenter", [this](util::BinWriter& w) { dc_->save_state(w); },
-      [this](util::BinReader& r) { dc_->load_state(r); });
-  manager.add_section(
-      "controller", [this](util::BinWriter& w) { eco_->save_state(w); },
-      [this](util::BinReader& r) { eco_->load_state(r); });
-  manager.add_section(
-      "trace_driver", [this](util::BinWriter& w) { trace_driver_->save_state(w); },
-      [this](util::BinReader& r) { trace_driver_->load_state(r); });
+  register_engine(manager, *dc_, *eco_, *trace_driver_);
   manager.add_section(
       "open_system", [this](util::BinWriter& w) { open_->save_state(w); },
       [this](util::BinReader& r) { open_->load_state(r); });
@@ -521,15 +500,6 @@ void ConsolidationScenario::register_checkpoint(ckpt::CheckpointManager& manager
       "collector", [this](util::BinWriter& w) { collector_->save_state(w); },
       [this](util::BinReader& r) { collector_->load_state(r); });
 
-  manager.add_owner(
-      sim::tag_owner::kController,
-      [this](const sim::EventTag& tag) { return eco_->rebuild_event(tag); },
-      [this](const sim::EventTag& tag, sim::EventHandle handle) {
-        eco_->bind_event(tag, handle);
-      });
-  manager.add_owner(sim::tag_owner::kTraceDriver, [this](const sim::EventTag& tag) {
-    return trace_driver_->rebuild_event(tag);
-  });
   manager.add_owner(sim::tag_owner::kOpenSystem, [this](const sim::EventTag& tag) {
     return open_->rebuild_event(tag);
   });

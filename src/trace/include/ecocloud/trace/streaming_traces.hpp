@@ -16,17 +16,14 @@
 /// EXACTLY the order TraceSet::generate does (avg, ram, then the series
 /// block of 1 + num_steps normal draws per VM), and the lazily produced
 /// demand at (v, k) equals TraceSet's series value bit for bit (same
-/// draws, same arithmetic, same clamp). A scenario that swaps TraceSet
+/// draws, and the same Ar1Demand arithmetic). A scenario that swaps TraceSet
 /// for StreamingTraces therefore produces the identical event stream —
 /// pinned by tests/engine_regression_test.
 ///
-/// Access is monotone: advance_to(k) may only move forward. Rewinds throw,
-/// and the wrap-around replay TraceSet::percent_at offers for steps beyond
-/// num_steps is not supported — scenarios generate enough steps to cover
-/// their horizon, so neither limitation is reachable from DailyScenario.
-/// After a checkpoint restore the bank starts over at step 0 and the first
-/// advance_to fast-forwards deterministically; no cursor state needs to be
-/// part of the snapshot.
+/// Access is monotone: advance_to(k) only moves forward and has no
+/// wrap-around past num_steps; scenarios generate enough steps for their
+/// horizon. Like every trace::TraceSource store, a bank carries no snapshot
+/// state: after a restore it fast-forwards from step 0.
 ///
 /// Sharding (DESIGN.md §17): generate_partitioned() cuts the generation
 /// stream into K banks, bank k owning the rows congruent to k modulo K —
@@ -85,8 +82,8 @@ class StreamingTraces {
   /// cursor. Draws no shared randomness.
   void adopt_row(std::size_t v, const StreamingTraces& home);
   [[nodiscard]] std::size_t num_steps() const { return num_steps_; }
-  [[nodiscard]] sim::SimTime sample_period_s() const { return sample_period_s_; }
-  [[nodiscard]] double reference_mhz() const { return reference_mhz_; }
+  [[nodiscard]] sim::SimTime sample_period_s() const { return config_.sample_period_s; }
+  [[nodiscard]] double reference_mhz() const { return config_.reference_mhz; }
 
   /// Average utilization (percent) drawn for VM \p v.
   [[nodiscard]] double average_percent(std::size_t v) const {
@@ -97,9 +94,6 @@ class StreamingTraces {
   [[nodiscard]] double ram_mb(std::size_t v) const {
     return ram_mb_.at(slot(v));
   }
-
-  /// Step index active at simulation time \p t (floor(t / period)).
-  [[nodiscard]] std::size_t step_at(sim::SimTime t) const;
 
   /// The step all cursors are currently positioned at.
   [[nodiscard]] std::size_t current_step() const { return current_step_; }
@@ -116,7 +110,7 @@ class StreamingTraces {
 
   /// Demand (MHz) of VM \p v at the current step.
   [[nodiscard]] double demand_mhz_current(std::size_t v) const {
-    return percent_current(v) / 100.0 * reference_mhz_;
+    return percent_current(v) / 100.0 * config_.reference_mhz;
   }
 
  private:
@@ -139,13 +133,9 @@ class StreamingTraces {
 
   std::size_t num_steps_ = 0;
   std::size_t current_step_ = 0;
-  sim::SimTime sample_period_s_ = 300.0;
-  double reference_mhz_ = 2000.0;
-  // AR(1) parameters shared by all cursors (from WorkloadConfig).
-  double ar1_rho_ = 0.0;
-  double dev_base_ = 0.0;
-  double dev_slope_ = 0.0;
-  DiurnalPattern diurnal_{};
+  /// The generating workload: sampling period, reference capacity, and the
+  /// AR(1) and diurnal parameters every cursor shares (Ar1Demand).
+  WorkloadConfig config_;
 
   // Per-VM columns (DESIGN.md §14: ~76 bytes/VM, horizon-independent).
   std::vector<double> averages_;

@@ -63,9 +63,6 @@ class TraceSet {
     return percent_at(v, k) / 100.0 * reference_mhz_;
   }
 
-  /// Step index active at simulation time \p t (floor(t / period)).
-  [[nodiscard]] std::size_t step_at(sim::SimTime t) const;
-
   /// Mean demand (MHz) over all VMs at step \p k.
   [[nodiscard]] double total_demand_mhz_at(std::size_t k) const;
 

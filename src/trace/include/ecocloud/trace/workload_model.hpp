@@ -17,6 +17,8 @@
 /// where g is the shared diurnal factor and d an AR(1) noise whose scale
 /// grows with the VM's average (big VMs fluctuate more, as in the traces).
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -53,6 +55,41 @@ struct WorkloadConfig {
   double ram_max_mb = 4096.0;
 };
 
+/// The sample arithmetic, written once for every generator (the
+/// materialized generate_series and the lazy StreamingTraces cursors), so
+/// equal draws give bit-identical samples. With sigma = dev_base +
+/// dev_slope * avg, the deviation starts from its stationary law
+/// N(0, sigma), so a series has no warm-up transient, steps as
+/// dev' = rho * dev + N(0, sigma * sqrt(1 - rho^2)), and the sample is
+/// clamp(avg * g(t) + dev, 0, 100).
+class Ar1Demand {
+ public:
+  explicit Ar1Demand(const WorkloadConfig& config)
+      : rho_(config.ar1_rho),
+        dev_base_(config.dev_base),
+        dev_slope_(config.dev_slope),
+        stationary_to_innovation_(std::sqrt(1.0 - rho_ * rho_)) {}
+
+  [[nodiscard]] double first_deviation(double avg, util::Rng& rng) const {
+    return rng.normal(0.0, sigma(avg));
+  }
+  [[nodiscard]] double next_deviation(double dev, double avg, util::Rng& rng) const {
+    return rho_ * dev + rng.normal(0.0, sigma(avg) * stationary_to_innovation_);
+  }
+  /// Utilization (percent) for diurnal factor \p g.
+  [[nodiscard]] static float percent(double avg, double g, double dev) {
+    return static_cast<float>(std::clamp(avg * g + dev, 0.0, 100.0));
+  }
+
+ private:
+  [[nodiscard]] double sigma(double avg) const { return dev_base_ + dev_slope_ * avg; }
+
+  double rho_;
+  double dev_base_;
+  double dev_slope_;
+  double stationary_to_innovation_;  ///< sqrt(1 - rho^2), hoisted per object
+};
+
 /// Samples per-VM averages and generates punctual utilization series.
 class WorkloadModel {
  public:
@@ -75,12 +112,11 @@ class WorkloadModel {
   [[nodiscard]] static double expected_average_percent();
 
   /// Generate a punctual utilization series (percent) of \p num_steps
-  /// samples for a VM with the given average, starting at \p start_time.
-  /// Deviations evolve as AR(1); values are clamped to [0, 100].
+  /// samples from t = 0 for a VM with the given average (Ar1Demand): one
+  /// stationary draw, then one innovation draw per sample.
   [[nodiscard]] std::vector<float> generate_series(util::Rng& rng,
                                                    double avg_percent,
-                                                   std::size_t num_steps,
-                                                   sim::SimTime start_time = 0.0) const;
+                                                   std::size_t num_steps) const;
 
   /// Convert a utilization percentage to MHz demand under this model.
   [[nodiscard]] double percent_to_mhz(double percent) const {

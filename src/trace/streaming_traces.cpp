@@ -1,7 +1,5 @@
 #include "ecocloud/trace/streaming_traces.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "ecocloud/util/validation.hpp"
@@ -31,12 +29,7 @@ std::vector<StreamingTraces> StreamingTraces::generate_partitioned(
   for (std::size_t k = 0; k < num_banks; ++k) {
     StreamingTraces bank;
     bank.num_steps_ = num_steps;
-    bank.sample_period_s_ = config.sample_period_s;
-    bank.reference_mhz_ = config.reference_mhz;
-    bank.ar1_rho_ = config.ar1_rho;
-    bank.dev_base_ = config.dev_base;
-    bank.dev_slope_ = config.dev_slope;
-    bank.diurnal_ = config.diurnal;
+    bank.config_ = config;
     bank.stride_ = num_banks;
     bank.offset_ = k;
     bank.total_vms_ = num_vms;
@@ -50,10 +43,8 @@ std::vector<StreamingTraces> StreamingTraces::generate_partitioned(
     banks.push_back(std::move(bank));
   }
 
-  const double rho = config.ar1_rho;
-  // Computed exactly as WorkloadModel::generate_series computes it, so the
-  // lazily drawn samples match the materialized ones bit for bit.
-  const double stationary_to_innovation = std::sqrt(1.0 - rho * rho);
+  const Ar1Demand ar1(config);
+  const double g0 = config.diurnal.value(0.0);
 
   // One pass over the shared stream in TraceSet::generate's exact draw
   // order; only the bank each row's columns land in differs. Row v is
@@ -66,27 +57,22 @@ std::vector<StreamingTraces> StreamingTraces::generate_partitioned(
     bank.averages_.push_back(avg);
     bank.ram_mb_.push_back(model.sample_ram_mb(rng));
 
-    const double sigma = config.dev_base + config.dev_slope * avg;
-    const double innovation_scale = sigma * stationary_to_innovation;
-
     // Capture this row's cursor at the start of its series block, then
-    // advance the shared stream past the block by replaying the exact
-    // draws TraceSet::generate would burn (1 stationary + num_steps
-    // innovations), keeping row v+1's average/ram/series draws aligned
-    // with the materialized generator.
+    // advance the shared stream past the block by replaying the draws
+    // generate_series makes (1 stationary + num_steps innovations), keeping
+    // row v+1's average/ram/series draws aligned with the materialized
+    // generator.
     bank.cursors_.push_back(rng);
-    (void)rng.normal(0.0, sigma);
+    double burn = ar1.first_deviation(avg, rng);
     for (std::size_t k = 0; k < num_steps; ++k) {
-      (void)rng.normal(0.0, innovation_scale);
+      burn = ar1.next_deviation(burn, avg, rng);
     }
 
     // Position the lazy state at step 0 from the private cursor: after the
     // stationary draw it is ready to produce the step-1 innovation.
-    const double dev0 = bank.cursors_.back().normal(0.0, sigma);
+    const double dev0 = ar1.first_deviation(avg, bank.cursors_.back());
     bank.dev_.push_back(dev0);
-    const double base = avg * bank.diurnal_.value(0.0);
-    bank.values_.push_back(
-        static_cast<float>(std::clamp(base + dev0, 0.0, 100.0)));
+    bank.values_.push_back(Ar1Demand::percent(avg, g0, dev0));
   }
   return banks;
 }
@@ -126,32 +112,22 @@ void StreamingTraces::adopt_row(std::size_t v, const StreamingTraces& home) {
   cursors_.push_back(home.cursors_[s]);
 }
 
-std::size_t StreamingTraces::step_at(sim::SimTime t) const {
-  util::require(t >= 0.0, "StreamingTraces::step_at: negative time");
-  return static_cast<std::size_t>(t / sample_period_s_);
-}
-
 void StreamingTraces::advance_to(std::size_t step) {
   util::require(step >= current_step_,
                 "StreamingTraces::advance_to: cursors cannot rewind");
   util::require(step < num_steps_,
                 "StreamingTraces::advance_to: step beyond generated horizon");
-  const double rho = ar1_rho_;
-  const double stationary_to_innovation = std::sqrt(1.0 - rho * rho);
+  const Ar1Demand ar1(config_);
   const std::size_t n = averages_.size();
   while (current_step_ < step) {
     ++current_step_;
     const sim::SimTime t =
-        static_cast<double>(current_step_) * sample_period_s_;
+        static_cast<double>(current_step_) * config_.sample_period_s;
     for (std::size_t v = 0; v < n; ++v) {
       const double avg = averages_[v];
-      const double sigma = dev_base_ + dev_slope_ * avg;
-      const double innovation_scale = sigma * stationary_to_innovation;
-      const double dev =
-          rho * dev_[v] + cursors_[v].normal(0.0, innovation_scale);
+      const double dev = ar1.next_deviation(dev_[v], avg, cursors_[v]);
       dev_[v] = dev;
-      const double base = avg * diurnal_.value(t);
-      values_[v] = static_cast<float>(std::clamp(base + dev, 0.0, 100.0));
+      values_[v] = Ar1Demand::percent(avg, config_.diurnal.value(t), dev);
     }
   }
 }

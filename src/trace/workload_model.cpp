@@ -1,7 +1,5 @@
 #include "ecocloud/trace/workload_model.hpp"
 
-#include <cmath>
-
 #include "ecocloud/util/math.hpp"
 #include "ecocloud/util/validation.hpp"
 
@@ -56,26 +54,17 @@ double WorkloadModel::expected_average_percent() {
 }
 
 std::vector<float> WorkloadModel::generate_series(util::Rng& rng, double avg_percent,
-                                                  std::size_t num_steps,
-                                                  sim::SimTime start_time) const {
+                                                  std::size_t num_steps) const {
   util::require(avg_percent >= 0.0 && avg_percent <= 100.0,
                 "WorkloadModel::generate_series: avg must be in [0,100]");
+  const Ar1Demand ar1(config_);
   std::vector<float> series;
   series.reserve(num_steps);
-
-  const double sigma = config_.dev_base + config_.dev_slope * avg_percent;
-  const double rho = config_.ar1_rho;
-  const double innovation_scale = sigma * std::sqrt(1.0 - rho * rho);
-
-  // Start the AR(1) from its stationary distribution so the series has no
-  // warm-up transient.
-  double dev = rng.normal(0.0, sigma);
+  double dev = ar1.first_deviation(avg_percent, rng);
   for (std::size_t k = 0; k < num_steps; ++k) {
-    const sim::SimTime t = start_time + static_cast<double>(k) * config_.sample_period_s;
-    const double base = avg_percent * config_.diurnal.value(t);
-    const double value = std::clamp(base + dev, 0.0, 100.0);
-    series.push_back(static_cast<float>(value));
-    dev = rho * dev + rng.normal(0.0, innovation_scale);
+    const sim::SimTime t = static_cast<double>(k) * config_.sample_period_s;
+    series.push_back(Ar1Demand::percent(avg_percent, config_.diurnal.value(t), dev));
+    dev = ar1.next_deviation(dev, avg_percent, rng);
   }
   return series;
 }

@@ -904,7 +904,7 @@ TEST(ShardedDailyRun, StreamingBanksMatchMaterializedSharded) {
   for (std::size_t k = 0; k < streaming.num_shards(); ++k) {
     // streaming_traces is honored — never silently downgraded to a
     // materialized TraceSet behind the operator's back.
-    ASSERT_NE(streaming.shard(k).streaming_bank(), nullptr);
+    ASSERT_TRUE(streaming.shard(k).daily().trace_source().is_streaming());
   }
   streaming.run();
 
@@ -927,7 +927,7 @@ TEST(ShardedDailyRun, StreamingSingleShardMatchesSingleThreadedStreaming) {
   reference.run();
 
   par::ShardedDailyRun sharded(config, {.shards = 1, .threads = 1});
-  ASSERT_NE(sharded.shard(0).streaming_bank(), nullptr);
+  ASSERT_TRUE(sharded.shard(0).daily().trace_source().is_streaming());
   sharded.run();
 
   std::ostringstream reference_csv;

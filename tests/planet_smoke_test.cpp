@@ -55,7 +55,8 @@ TEST(PlanetSmoke, ShardedStreamingBanksRunClean) {
   ecocloud::par::ShardedDailyRun run(planet_smoke_config(),
                                      {.shards = 8, .threads = 4});
   for (std::size_t k = 0; k < run.num_shards(); ++k) {
-    ASSERT_NE(run.shard(k).streaming_bank(), nullptr) << "shard " << k;
+    ASSERT_TRUE(run.shard(k).daily().trace_source().is_streaming())
+        << "shard " << k;
   }
   run.run();
   EXPECT_GT(run.stats().energy_joules, 0.0);

@@ -199,3 +199,30 @@ TEST(ExternalTraces, DriveTheDailyScenario) {
   // Constant demands: total demand equals the sum of the two traces.
   EXPECT_NEAR(d.total_demand_mhz(), 1000.0, 1e-6);
 }
+
+TEST(ExternalTraces, ShorterThanHorizonReplayWrapped) {
+  // A 4-sample (20-minute) log replayed over 2 hours: the trace driver
+  // wraps around (TraceSet::percent_at), so one log length L later the
+  // demand repeats — at t = L + 5 min it equals the demand at 5 min.
+  const std::vector<std::vector<float>> series{{10.0f, 20.0f, 30.0f, 40.0f},
+                                               {50.0f, 5.0f, 25.0f, 15.0f}};
+  constexpr sim::SimTime kPeriod = 300.0;
+  constexpr sim::SimTime kLog = 4 * kPeriod;
+  scenario::DailyConfig config;
+  config.fleet.num_servers = 4;
+  config.horizon_s = 2.0 * sim::kHour;
+  scenario::DailyScenario daily(
+      config, trace::TraceSet::from_series(series, kPeriod, 2000.0, 512.0));
+  daily.start();
+  // Demand of both VMs just after the tick at \p t.
+  const auto demands_at = [&daily](sim::SimTime t) {
+    daily.run_slice(t + 1.0);
+    const auto& d = daily.datacenter();
+    return std::vector<double>{d.vm(0).demand_mhz, d.vm(1).demand_mhz};
+  };
+  const std::vector<double> at_5min = demands_at(kPeriod);
+  EXPECT_EQ(at_5min, (std::vector<double>{400.0, 100.0}));
+  EXPECT_EQ(demands_at(kLog), (std::vector<double>{200.0, 1000.0}));
+  EXPECT_EQ(demands_at(kLog + kPeriod), at_5min);
+  EXPECT_EQ(demands_at(3 * kLog + kPeriod), at_5min);
+}

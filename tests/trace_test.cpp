@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <sstream>
 
 #include "ecocloud/stats/histogram.hpp"
@@ -14,6 +15,7 @@
 #include "ecocloud/trace/rate_estimator.hpp"
 #include "ecocloud/trace/streaming_traces.hpp"
 #include "ecocloud/trace/trace_set.hpp"
+#include "ecocloud/trace/trace_source.hpp"
 #include "ecocloud/trace/workload_model.hpp"
 
 namespace trace = ecocloud::trace;
@@ -197,11 +199,13 @@ TEST(TraceSet, StepsWrapAround) {
 TEST(TraceSet, StepAtMapsTime) {
   trace::WorkloadModel model;
   Rng rng(9);
-  const auto set = trace::TraceSet::generate(model, 1, 10, rng);
-  EXPECT_EQ(set.step_at(0.0), 0u);
-  EXPECT_EQ(set.step_at(299.9), 0u);
-  EXPECT_EQ(set.step_at(300.0), 1u);
-  EXPECT_EQ(set.step_at(3000.0), 10u);
+  const trace::TraceSource source(std::make_shared<const trace::TraceSet>(
+      trace::TraceSet::generate(model, 1, 10, rng)));
+  EXPECT_EQ(source.step_at(0.0), 0u);
+  EXPECT_EQ(source.step_at(299.9), 0u);
+  EXPECT_EQ(source.step_at(300.0), 1u);
+  EXPECT_EQ(source.step_at(3000.0), 10u);
+  EXPECT_THROW((void)source.step_at(-1.0), std::invalid_argument);
 }
 
 TEST(TraceSet, DemandMhzConsistentWithPercent) {
@@ -236,6 +240,31 @@ TEST(TraceSet, ReadRejectsMalformed) {
   EXPECT_THROW(trace::TraceSet::read_csv(empty), std::invalid_argument);
   std::istringstream bad_header("1,2\n");
   EXPECT_THROW(trace::TraceSet::read_csv(bad_header), std::invalid_argument);
+  // Header: num_vms, num_steps, period, reference; rows: id, avg, ram,
+  // samples. Each of these used to crash or be accepted.
+  for (const char* text : {
+           "1,-1,300,2000\n0,10\n",           // step count wrapped the row check
+           "-1,1,300,2000\n",                  // negative VM count
+           "1,0,300,2000\n0,10,512\n",        // zero steps: percent_at divided by 0
+           "1,1,0,2000\n0,10,512,5\n",        // zero period: step_at divided by 0
+           "1,1,-300,2000\n0,10,512,5\n",
+           "1,1,nan,2000\n0,10,512,5\n",
+           "1,1,inf,2000\n0,10,512,5\n",
+           "1,1,300,0\n0,10,512,5\n",
+           "1,1,300,nan\n0,10,512,5\n",
+           "1,2,300,2000\n0,10,512,5,-40\n",  // samples outside [0,100]
+           "1,2,300,2000\n0,10,512,5,250\n",
+           "1,1,300,2000\n0,10,512,nan\n",
+           "1,1,300,2000\n0,140,512,5\n",     // average outside [0,100]
+           "1,1,300,2000\n0,10,-512,5\n",     // negative RAM
+       }) {
+    std::istringstream in(text);
+    EXPECT_THROW(trace::TraceSet::read_csv(in), std::invalid_argument) << text;
+  }
+  std::istringstream valid("1,2,300,2000\n0,10,512,0,100\n");
+  const auto set = trace::TraceSet::read_csv(valid);
+  EXPECT_EQ(set.num_steps(), 2u);
+  EXPECT_EQ(set.percent_at(0, 1), 100.0);
 }
 
 TEST(TraceSet, TotalDemand) {
@@ -404,7 +433,6 @@ TEST(StreamingTraces, RejectsRewindAndOverrun) {
   EXPECT_THROW(bank.advance_to(3), std::invalid_argument);
   EXPECT_THROW(bank.advance_to(10), std::invalid_argument);
   EXPECT_NO_THROW(bank.advance_to(4));  // idempotent at the current step
-  EXPECT_THROW((void)bank.step_at(-1.0), std::invalid_argument);
 }
 
 TEST(StreamingTraces, GenerateValidation) {
@@ -490,5 +518,77 @@ TEST(StreamingTraces, AdoptedRowTracksItsHomeBankExactly) {
     banks[1].advance_to(step);
     ASSERT_EQ(banks[0].percent_current(3), whole.percent_current(3)) << step;
     ASSERT_EQ(banks[1].percent_current(3), whole.percent_current(3)) << step;
+  }
+}
+
+// ------------------------------------------------------------ trace source
+
+TEST(TraceSource, MatrixAndBankYieldTheSameRows) {
+  trace::WorkloadModel model;
+  constexpr std::size_t kVms = 12;
+  constexpr std::size_t kSteps = 30;
+  Rng rng_a(2024);
+  Rng rng_b(2024);
+  trace::TraceSource matrix(std::make_shared<const trace::TraceSet>(
+      trace::TraceSet::generate(model, kVms, kSteps, rng_a)));
+  trace::TraceSource bank(trace::StreamingTraces::generate(model, kVms, kSteps, rng_b));
+  EXPECT_FALSE(matrix.is_streaming());
+  EXPECT_TRUE(bank.is_streaming());
+  ASSERT_EQ(matrix.num_vms(), bank.num_vms());
+  EXPECT_EQ(matrix.sample_period_s(), bank.sample_period_s());
+  for (std::size_t v = 0; v < kVms; ++v) EXPECT_EQ(matrix.ram_mb(v), bank.ram_mb(v));
+  for (std::size_t k = 0; k < kSteps; k += 7) {
+    matrix.advance_to(k);
+    bank.advance_to(k);
+    for (std::size_t v = 0; v < kVms; ++v) {
+      ASSERT_EQ(matrix.demand_mhz(v), bank.demand_mhz(v)) << "vm " << v << " step " << k;
+    }
+    // The per-sweep reader answers exactly like the per-row accessor.
+    for (const trace::TraceSource* source : {&matrix, &bank}) {
+      source->visit_rows([&](const auto& rows) {
+        for (std::size_t v = 0; v < kVms; ++v) {
+          ASSERT_EQ(rows.demand_mhz(v), source->demand_mhz(v));
+        }
+      });
+    }
+  }
+}
+
+TEST(TraceSource, SharedMatrixKeepsOneStepPerSource) {
+  trace::WorkloadModel model;
+  Rng rng(31);
+  const auto set = std::make_shared<const trace::TraceSet>(
+      trace::TraceSet::generate(model, 3, 10, rng));
+  trace::TraceSource a(set);
+  trace::TraceSource b(set);
+  a.advance_to(4);
+  EXPECT_EQ(a.demand_mhz(1), set->demand_mhz_at(1, 4));
+  EXPECT_EQ(b.demand_mhz(1), set->demand_mhz_at(1, 0));
+  // A matrix accepts any step and wraps past its end.
+  a.advance_to(13);
+  EXPECT_EQ(a.demand_mhz(1), set->demand_mhz_at(1, 3));
+  a.advance_to(2);
+  EXPECT_EQ(a.demand_mhz(1), set->demand_mhz_at(1, 2));
+}
+
+TEST(TraceSource, AdoptRowCopiesBankRowsAndIsANoOpOnAMatrix) {
+  trace::WorkloadModel model;
+  Rng rng_a(5);
+  Rng rng_b(5);
+  trace::TraceSource matrix(std::make_shared<const trace::TraceSet>(
+      trace::TraceSet::generate(model, 6, 20, rng_a)));
+  std::vector<trace::StreamingTraces> parts =
+      trace::StreamingTraces::generate_partitioned(model, 6, 20, rng_b, 2);
+  trace::TraceSource bank0(std::move(parts[0]));
+  trace::TraceSource bank1(std::move(parts[1]));
+
+  EXPECT_NO_THROW(matrix.adopt_row(1, bank1));  // every row is resident
+  EXPECT_THROW(bank0.adopt_row(1, matrix), std::invalid_argument);
+  EXPECT_THROW((void)bank0.demand_mhz(1), std::invalid_argument);
+  bank0.adopt_row(1, bank1);
+  for (std::size_t k = 1; k < 20; ++k) {
+    matrix.advance_to(k);
+    bank0.advance_to(k);
+    ASSERT_EQ(bank0.demand_mhz(1), matrix.demand_mhz(1)) << "step " << k;
   }
 }
