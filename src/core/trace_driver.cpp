@@ -64,11 +64,13 @@ void TraceDriver::tick() {
   util::ScopedPhase profile(util::Phase::kTraceAdvance);
   const sim::SimTime now = sim_.now();
   source_.advance_to(source_.step_at(now));
+  dc_.begin_demand_refresh();
   source_.visit_rows([&](const auto& rows) {
     for (const auto& [vm, trace_index] : vm_to_trace_) {
       dc_.set_vm_demand(now, vm, rows.demand_mhz(trace_index));
     }
   });
+  dc_.end_demand_refresh(now);
 }
 
 }  // namespace ecocloud::core

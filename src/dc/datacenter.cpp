@@ -136,7 +136,11 @@ void DataCenter::refresh_server(sim::SimTime t, ServerId s) {
   overloaded_vm_count_ -= overload_vm_contrib_[s];
   overload_vm_contrib_[s] = new_overload_vms;
 
-  // Overload-episode bookkeeping.
+  if (!in_demand_refresh_) track_overload_episode(t, s);
+}
+
+void DataCenter::track_overload_episode(sim::SimTime t, ServerId s) {
+  const Server srv = Server(servers_, s);
   if (srv.overloaded()) {
     if (overload_since_[s] < 0.0) {
       overload_since_[s] = t;
@@ -218,6 +222,18 @@ void DataCenter::set_vm_demand(sim::SimTime t, VmId v, double demand_mhz) {
     vms_.reserved_at_dest_mhz[v] = demand_mhz;
     target.add_reservation(demand_mhz);
   }
+}
+
+void DataCenter::begin_demand_refresh() {
+  util::ensure(!in_demand_refresh_, "DataCenter::begin_demand_refresh: already open");
+  in_demand_refresh_ = true;
+}
+
+void DataCenter::end_demand_refresh(sim::SimTime t) {
+  util::ensure(in_demand_refresh_, "DataCenter::end_demand_refresh: none open");
+  in_demand_refresh_ = false;
+  // Untouched servers are already settled; re-tracking them is a no-op.
+  for (ServerId s = 0; s < servers_.size(); ++s) track_overload_episode(t, s);
 }
 
 void DataCenter::begin_migration(sim::SimTime t, VmId v, ServerId dest) {

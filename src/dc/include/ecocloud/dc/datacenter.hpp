@@ -235,6 +235,16 @@ class DataCenter {
   /// Update a VM's CPU demand from the trace; adjusts its host's load.
   void set_vm_demand(sim::SimTime t, VmId v, double demand_mhz);
 
+  /// Bracket the set_vm_demand() calls of one trace tick, which together
+  /// are one instantaneous refresh. Inside the bracket a host that crosses
+  /// capacity between two of its VMs' updates opens or closes no overload
+  /// episode; end_demand_refresh() settles every server's episode from the
+  /// state it has after the whole refresh. Power, overload VM-time and
+  /// energy are updated per call as outside the bracket (no time passes
+  /// within it, so the transient states integrate to zero).
+  void begin_demand_refresh();
+  void end_demand_refresh(sim::SimTime t);
+
   /// Start a live migration: reserves capacity at \p dest. The VM keeps
   /// running on its source until complete_migration().
   void begin_migration(sim::SimTime t, VmId v, ServerId dest);
@@ -338,8 +348,13 @@ class DataCenter {
 
  private:
   /// Refresh cached per-server contributions (power, overloaded VM count)
-  /// after server \p s changed; updates overload episode tracking at time t.
+  /// after server \p s changed; updates overload episode tracking at time t
+  /// unless a demand refresh is open (see begin_demand_refresh()).
   void refresh_server(sim::SimTime t, ServerId s);
+
+  /// Open, extend or close server \p s's overload episode from its current
+  /// state at time \p t.
+  void track_overload_episode(sim::SimTime t, ServerId s);
 
   /// Move \p s between dense state sets: swap-erase from \p from, append to
   /// \p to, O(1); invalidates the sorted views of both states.
@@ -363,6 +378,9 @@ class DataCenter {
   std::vector<double> overload_min_granted_;
   // Closed-episode overload seconds per server (open episode added lazily).
   std::vector<double> overload_accum_s_;
+  // True between begin_demand_refresh() and end_demand_refresh(). Never
+  // set across events, so it is not checkpointed.
+  bool in_demand_refresh_ = false;
 
   // Dense per-state membership (one slot per ServerState enumerator):
   // membership order with swap-erase removal, plus each server's position

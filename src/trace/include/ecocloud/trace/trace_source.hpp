@@ -22,8 +22,9 @@ class TraceSource {
  public:
   explicit TraceSource(std::shared_ptr<const TraceSet> matrix)
       : rows_(Matrix{std::move(matrix)}) {
-    util::require(std::get<Matrix>(rows_).set != nullptr,
-                  "TraceSource: null trace matrix");
+    Matrix& m = std::get<Matrix>(rows_);
+    util::require(m.set != nullptr, "TraceSource: null trace matrix");
+    m.advance_to(0);
   }
   explicit TraceSource(StreamingTraces bank) : rows_(Bank{std::move(bank)}) {}
 
@@ -50,6 +51,7 @@ class TraceSource {
   }
   /// Demand (MHz) of row \p v at the current step.
   [[nodiscard]] double demand_mhz(std::size_t v) const {
+    util::require(v < num_vms(), "TraceSource::demand_mhz: row out of range");
     return std::visit([v](const auto& r) { return r.demand_mhz(v); }, rows_);
   }
 
@@ -69,20 +71,25 @@ class TraceSource {
   [[nodiscard]] bool is_streaming() const { return std::holds_alternative<Bank>(rows_); }
 
   /// Call \p fn once with a reader of the current step whose demand_mhz(v)
-  /// equals this->demand_mhz(v): the store is dispatched once per sweep,
-  /// not once per row.
+  /// equals this->demand_mhz(v) for every v < num_vms(), unchecked: the
+  /// store is dispatched once per sweep, not once per row, and a matrix
+  /// reader indexes the current step's row directly.
   template <class Fn>
   void visit_rows(Fn&& fn) const {
     std::visit([&fn](const auto& r) { fn(r); }, rows_);
   }
 
  private:
+  /// The current step lives here as its resolved row (wrap-around
+  /// applied once per advance), so a per-VM read is one indexed load.
   struct Matrix {
     std::shared_ptr<const TraceSet> set;
-    std::size_t step = 0;
+    const float* row = nullptr;
     const TraceSet& store() const { return *set; }
-    void advance_to(std::size_t k) { step = k; }
-    double demand_mhz(std::size_t v) const { return set->demand_mhz_at(v, step); }
+    void advance_to(std::size_t k) { row = set->step_row(k); }
+    double demand_mhz(std::size_t v) const {
+      return static_cast<double>(row[v]) / 100.0 * set->reference_mhz();
+    }
   };
   struct Bank {
     StreamingTraces cursors;

@@ -56,7 +56,7 @@ struct WorkloadConfig {
 };
 
 /// The sample arithmetic, written once for every generator (the
-/// materialized generate_series and the lazy StreamingTraces cursors), so
+/// materialized fill_series and the lazy StreamingTraces cursors), so
 /// equal draws give bit-identical samples. With sigma = dev_base +
 /// dev_slope * avg, the deviation starts from its stationary law
 /// N(0, sigma), so a series has no warm-up transient, steps as
@@ -117,6 +117,17 @@ class WorkloadModel {
   [[nodiscard]] std::vector<float> generate_series(util::Rng& rng,
                                                    double avg_percent,
                                                    std::size_t num_steps) const;
+
+  /// The diurnal factor g(t) at each sample instant t = k *
+  /// sample_period_s, k < \p num_steps. g depends only on the step, so a
+  /// fleet generator computes this table once and shares it across VMs.
+  [[nodiscard]] std::vector<double> diurnal_factors(std::size_t num_steps) const;
+
+  /// The series generator behind generate_series: writes g.size()
+  /// samples to \p out with the same draws, given the step table \p g
+  /// from diurnal_factors().
+  void fill_series(util::Rng& rng, double avg_percent, const std::vector<double>& g,
+                   float* out) const;
 
   /// Convert a utilization percentage to MHz demand under this model.
   [[nodiscard]] double percent_to_mhz(double percent) const {

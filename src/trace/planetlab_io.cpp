@@ -52,13 +52,13 @@ TraceSet read_planetlab_dir(const std::filesystem::path& dir,
     const std::size_t original = s.size();
     while (s.size() < longest) s.push_back(s[s.size() % original]);
   }
-  return TraceSet::from_series(std::move(series), sample_period_s, reference_mhz);
+  return TraceSet::from_series(series, sample_period_s, reference_mhz);
 }
 
 void write_planetlab_dir(const TraceSet& set, const std::filesystem::path& dir) {
   std::filesystem::create_directories(dir);
   for (std::size_t v = 0; v < set.num_vms(); ++v) {
-    char name[16];
+    char name[32];  // "vm_" + up to 20 digits + NUL
     std::snprintf(name, sizeof(name), "vm_%05zu", v);
     std::ofstream out(dir / name);
     util::require(out.good(),

@@ -59,7 +59,7 @@ std::vector<StreamingTraces> StreamingTraces::generate_partitioned(
 
     // Capture this row's cursor at the start of its series block, then
     // advance the shared stream past the block by replaying the draws
-    // generate_series makes (1 stationary + num_steps innovations), keeping
+    // fill_series makes (1 stationary + num_steps innovations), keeping
     // row v+1's average/ram/series draws aligned with the materialized
     // generator.
     bank.cursors_.push_back(rng);
@@ -121,13 +121,15 @@ void StreamingTraces::advance_to(std::size_t step) {
   const std::size_t n = averages_.size();
   while (current_step_ < step) {
     ++current_step_;
+    // g depends only on the step: one std::sin per step, not per row.
     const sim::SimTime t =
         static_cast<double>(current_step_) * config_.sample_period_s;
+    const double g = config_.diurnal.value(t);
     for (std::size_t v = 0; v < n; ++v) {
       const double avg = averages_[v];
       const double dev = ar1.next_deviation(dev_[v], avg, cursors_[v]);
       dev_[v] = dev;
-      values_[v] = Ar1Demand::percent(avg, config_.diurnal.value(t), dev);
+      values_[v] = Ar1Demand::percent(avg, g, dev);
     }
   }
 }

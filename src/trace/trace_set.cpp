@@ -1,5 +1,6 @@
 #include "ecocloud/trace/trace_set.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -27,29 +28,52 @@ double require_percent(double x, const std::string& where) {
   return x;
 }
 
+// VMs per generation write block: 16 floats fill one 64-byte cache line of
+// a step row, so the transposing write of a block touches one line per step.
+constexpr std::size_t kWriteBlock = 16;
+
 }  // namespace
+
+void TraceSet::allocate(std::size_t num_vms, std::size_t num_steps,
+                        const std::string& where) {
+  util::require(num_vms > 0 && num_steps > 0, where + ": VM and step counts must be > 0");
+  util::require(num_steps <= samples_.max_size() / num_vms,
+                where + ": VM x step count overflows the sample matrix");
+  num_vms_ = num_vms;
+  num_steps_ = num_steps;
+  averages_.reserve(num_vms);
+  ram_mb_.reserve(num_vms);
+  samples_.resize(num_vms * num_steps);
+}
 
 TraceSet TraceSet::generate(const WorkloadModel& model, std::size_t num_vms,
                             std::size_t num_steps, util::Rng& rng) {
-  util::require(num_vms > 0, "TraceSet::generate: num_vms must be > 0");
-  util::require(num_steps > 0, "TraceSet::generate: num_steps must be > 0");
   TraceSet set;
-  set.num_steps_ = num_steps;
+  set.allocate(num_vms, num_steps, "TraceSet::generate");
   set.sample_period_s_ = model.config().sample_period_s;
   set.reference_mhz_ = model.config().reference_mhz;
-  set.averages_.reserve(num_vms);
-  set.ram_mb_.reserve(num_vms);
-  set.series_.reserve(num_vms);
-  for (std::size_t v = 0; v < num_vms; ++v) {
-    const double avg = model.sample_average_percent(rng);
-    set.averages_.push_back(avg);
-    set.ram_mb_.push_back(model.sample_ram_mb(rng));
-    set.series_.push_back(model.generate_series(rng, avg, num_steps));
+  const std::vector<double> g = model.diurnal_factors(num_steps);
+  // Each VM's series is drawn whole, in VM order, into a small VM-major
+  // block (the shared RNG sees exactly the per-VM draw order), then the
+  // block is transposed into the step-major matrix.
+  std::vector<float> block(kWriteBlock * num_steps);
+  for (std::size_t first = 0; first < num_vms; first += kWriteBlock) {
+    const std::size_t width = std::min(kWriteBlock, num_vms - first);
+    for (std::size_t b = 0; b < width; ++b) {
+      const double avg = model.sample_average_percent(rng);
+      set.averages_.push_back(avg);
+      set.ram_mb_.push_back(model.sample_ram_mb(rng));
+      model.fill_series(rng, avg, g, block.data() + b * num_steps);
+    }
+    for (std::size_t k = 0; k < num_steps; ++k) {
+      float* row = set.samples_.data() + k * num_vms + first;
+      for (std::size_t b = 0; b < width; ++b) row[b] = block[b * num_steps + k];
+    }
   }
   return set;
 }
 
-TraceSet TraceSet::from_series(std::vector<std::vector<float>> series,
+TraceSet TraceSet::from_series(const std::vector<std::vector<float>>& series,
                                double sample_period_s, double reference_mhz,
                                double ram_mb) {
   const std::string where = "TraceSet::from_series";
@@ -57,17 +81,22 @@ TraceSet TraceSet::from_series(std::vector<std::vector<float>> series,
   require_timebase(sample_period_s, reference_mhz, where);
   const std::size_t steps = series.front().size();
   util::require(steps > 0, "TraceSet::from_series: empty series");
+  for (const auto& s : series) {
+    util::require(s.size() == steps, "TraceSet::from_series: ragged series");
+  }
   TraceSet set;
-  set.num_steps_ = steps;
+  set.allocate(series.size(), steps, where);
   set.sample_period_s_ = sample_period_s;
   set.reference_mhz_ = reference_mhz;
-  for (auto& s : series) {
-    util::require(s.size() == steps, "TraceSet::from_series: ragged series");
+  for (std::size_t v = 0; v < series.size(); ++v) {
     double total = 0.0;
-    for (float x : s) total += require_percent(static_cast<double>(x), where);
+    for (std::size_t k = 0; k < steps; ++k) {
+      const float x = series[v][k];
+      total += require_percent(static_cast<double>(x), where);
+      set.samples_[k * set.num_vms_ + v] = x;
+    }
     set.averages_.push_back(total / static_cast<double>(steps));
     set.ram_mb_.push_back(ram_mb);
-    set.series_.push_back(std::move(s));
   }
   return set;
 }
@@ -78,7 +107,7 @@ double TraceSet::ram_mb(std::size_t v) const { return ram_mb_.at(v); }
 
 double TraceSet::total_demand_mhz_at(std::size_t k) const {
   double acc = 0.0;
-  for (std::size_t v = 0; v < series_.size(); ++v) acc += demand_mhz_at(v, k);
+  for (std::size_t v = 0; v < num_vms_; ++v) acc += demand_mhz_at(v, k);
   return acc;
 }
 
@@ -90,9 +119,9 @@ void TraceSet::write_csv(std::ostream& out) const {
       .field(sample_period_s_)
       .field(reference_mhz_);
   writer.end_row();
-  for (std::size_t v = 0; v < series_.size(); ++v) {
+  for (std::size_t v = 0; v < num_vms_; ++v) {
     writer.field(static_cast<long long>(v)).field(averages_[v]).field(ram_mb_[v]);
-    for (float x : series_[v]) writer.field(static_cast<double>(x));
+    for (std::size_t k = 0; k < num_steps_; ++k) writer.field(percent_at(v, k));
     writer.end_row();
   }
 }
@@ -108,15 +137,22 @@ TraceSet TraceSet::read_csv(std::istream& in) {
   const long long num_steps = util::parse_int(head[1]);
   util::require(num_vms > 0 && num_steps > 0,
                 "TraceSet::read_csv: VM and step counts must be > 0");
+  // The header sizes one allocation of num_vms x num_steps samples, so it
+  // is held against the data first: a short file must not reserve memory
+  // for the counts it merely claims.
+  util::require(rows.size() - 1 == static_cast<std::size_t>(num_vms),
+                "TraceSet::read_csv: row count mismatch");
+  util::require(rows[1].size() >= 3 &&
+                    rows[1].size() - 3 == static_cast<std::size_t>(num_steps),
+                "TraceSet::read_csv: sample count mismatch");
   TraceSet set;
-  set.num_steps_ = static_cast<std::size_t>(num_steps);
   set.sample_period_s_ = util::parse_double(head[2]);
   set.reference_mhz_ = util::parse_double(head[3]);
   require_timebase(set.sample_period_s_, set.reference_mhz_, where);
-  util::require(rows.size() - 1 == static_cast<std::size_t>(num_vms),
-                "TraceSet::read_csv: row count mismatch");
-  for (std::size_t v = 1; v < rows.size(); ++v) {
-    const auto& row = rows[v];
+  set.allocate(static_cast<std::size_t>(num_vms), static_cast<std::size_t>(num_steps),
+               where);
+  for (std::size_t v = 0; v < set.num_vms_; ++v) {
+    const auto& row = rows[v + 1];
     util::require(row.size() == 3 + set.num_steps_,
                   "TraceSet::read_csv: sample count mismatch");
     set.averages_.push_back(require_percent(util::parse_double(row[1]), where));
@@ -124,13 +160,10 @@ TraceSet TraceSet::read_csv(std::istream& in) {
     util::require(std::isfinite(ram_mb) && ram_mb >= 0.0,
                   "TraceSet::read_csv: RAM must be finite and >= 0");
     set.ram_mb_.push_back(ram_mb);
-    std::vector<float> series;
-    series.reserve(set.num_steps_);
     for (std::size_t k = 0; k < set.num_steps_; ++k) {
-      series.push_back(
-          static_cast<float>(require_percent(util::parse_double(row[3 + k]), where)));
+      set.samples_[k * set.num_vms_ + v] =
+          static_cast<float>(require_percent(util::parse_double(row[3 + k]), where));
     }
-    set.series_.push_back(std::move(series));
   }
   return set;
 }

@@ -55,18 +55,30 @@ double WorkloadModel::expected_average_percent() {
 
 std::vector<float> WorkloadModel::generate_series(util::Rng& rng, double avg_percent,
                                                   std::size_t num_steps) const {
-  util::require(avg_percent >= 0.0 && avg_percent <= 100.0,
-                "WorkloadModel::generate_series: avg must be in [0,100]");
-  const Ar1Demand ar1(config_);
-  std::vector<float> series;
-  series.reserve(num_steps);
-  double dev = ar1.first_deviation(avg_percent, rng);
+  std::vector<float> series(num_steps);
+  fill_series(rng, avg_percent, diurnal_factors(num_steps), series.data());
+  return series;
+}
+
+std::vector<double> WorkloadModel::diurnal_factors(std::size_t num_steps) const {
+  std::vector<double> g(num_steps);
   for (std::size_t k = 0; k < num_steps; ++k) {
     const sim::SimTime t = static_cast<double>(k) * config_.sample_period_s;
-    series.push_back(Ar1Demand::percent(avg_percent, config_.diurnal.value(t), dev));
+    g[k] = config_.diurnal.value(t);
+  }
+  return g;
+}
+
+void WorkloadModel::fill_series(util::Rng& rng, double avg_percent,
+                                const std::vector<double>& g, float* out) const {
+  util::require(avg_percent >= 0.0 && avg_percent <= 100.0,
+                "WorkloadModel::fill_series: avg must be in [0,100]");
+  const Ar1Demand ar1(config_);
+  double dev = ar1.first_deviation(avg_percent, rng);
+  for (std::size_t k = 0; k < g.size(); ++k) {
+    out[k] = Ar1Demand::percent(avg_percent, g[k], dev);
     dev = ar1.next_deviation(dev, avg_percent, rng);
   }
-  return series;
 }
 
 }  // namespace ecocloud::trace

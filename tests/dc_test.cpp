@@ -320,6 +320,64 @@ TEST(DataCenter, OverloadEpisodesRecorded) {
   EXPECT_EQ(ep.server, s);
 }
 
+// One trace tick updates a host's VMs one at a time. Raising v1 before
+// lowering v2 passes through 2600 MHz on a 2000 MHz server, a state that
+// lasts no time; only the state after the whole refresh counts.
+TEST(DataCenter, TransientOverloadWithinOneDemandRefreshRecordsNoEpisode) {
+  auto d = make_dc();
+  const auto s = d.add_server(2, 1000.0);  // capacity 2000
+  const auto v1 = d.create_vm(800.0);
+  const auto v2 = d.create_vm(800.0);
+  d.start_booting(0.0, s);
+  d.finish_booting(0.0, s);
+  d.place_vm(0.0, v1, s);
+  d.place_vm(0.0, v2, s);
+  d.begin_demand_refresh();
+  d.set_vm_demand(300.0, v1, 1800.0);  // 2600 > 2000 mid-refresh
+  d.set_vm_demand(300.0, v2, 100.0);   // 1900: back under capacity
+  d.end_demand_refresh(300.0);
+  d.advance_to(600.0);
+  EXPECT_TRUE(d.overload_episodes().empty());
+  EXPECT_DOUBLE_EQ(d.server_overload_seconds(s, 600.0), 0.0);
+  EXPECT_DOUBLE_EQ(d.overload_vm_seconds(), 0.0);
+}
+
+// A real episode that spans a refresh is neither split at the tick nor
+// deepened by the refresh's intermediate states.
+TEST(DataCenter, DemandRefreshKeepsASpanningEpisodeWhole) {
+  auto d = make_dc();
+  const auto s = d.add_server(2, 1000.0);  // capacity 2000
+  const auto v1 = d.create_vm(1200.0);
+  const auto v2 = d.create_vm(1000.0);
+  d.start_booting(0.0, s);
+  d.finish_booting(0.0, s);
+  d.place_vm(0.0, v1, s);
+  d.place_vm(10.0, v2, s);  // 2200: episode opens, granted 2000/2200
+  d.begin_demand_refresh();
+  d.set_vm_demand(300.0, v2, 100.0);   // 1300 mid-refresh: not overloaded
+  d.set_vm_demand(300.0, v1, 3900.0);  // 4000 mid-refresh: granted 0.5
+  d.set_vm_demand(300.0, v2, 600.0);   // 4500 mid-refresh
+  d.set_vm_demand(300.0, v1, 1900.0);  // final 2500: granted 0.8
+  d.end_demand_refresh(300.0);
+  EXPECT_TRUE(d.overload_episodes().empty());  // still open
+  d.set_vm_demand(400.0, v1, 1000.0);  // 1600: the episode ends
+  ASSERT_EQ(d.overload_episodes().size(), 1u);
+  const auto& ep = d.overload_episodes().front();
+  EXPECT_DOUBLE_EQ(ep.start, 10.0);
+  EXPECT_DOUBLE_EQ(ep.duration_s, 390.0);
+  EXPECT_DOUBLE_EQ(ep.min_granted_fraction, 0.8);
+  EXPECT_DOUBLE_EQ(d.server_overload_seconds(s, 400.0), 390.0);
+}
+
+TEST(DataCenter, DemandRefreshBracketsMustPair) {
+  auto d = make_dc();
+  d.add_server(2, 1000.0);
+  EXPECT_THROW(d.end_demand_refresh(0.0), std::logic_error);
+  d.begin_demand_refresh();
+  EXPECT_THROW(d.begin_demand_refresh(), std::logic_error);
+  d.end_demand_refresh(0.0);
+}
+
 TEST(DataCenter, ResetAccountingClearsAccumulators) {
   auto d = make_dc();
   d.add_server(4, 2000.0);

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "ecocloud/stats/histogram.hpp"
 #include "ecocloud/stats/welford.hpp"
@@ -194,6 +198,13 @@ TEST(TraceSet, StepsWrapAround) {
   Rng rng(8);
   const auto set = trace::TraceSet::generate(model, 3, 10, rng);
   EXPECT_DOUBLE_EQ(set.percent_at(0, 3), set.percent_at(0, 13));
+  for (std::size_t k = 0; k < 10; ++k) {
+    EXPECT_EQ(set.step_row(k + 10), set.step_row(k));
+    EXPECT_EQ(set.step_row(k + 3 * 10), set.step_row(k));
+    for (std::size_t v = 0; v < 3; ++v) {
+      EXPECT_EQ(set.percent_at(v, k + 7000), set.percent_at(v, k));
+    }
+  }
 }
 
 TEST(TraceSet, StepAtMapsTime) {
@@ -257,6 +268,13 @@ TEST(TraceSet, ReadRejectsMalformed) {
            "1,1,300,2000\n0,10,512,nan\n",
            "1,1,300,2000\n0,140,512,5\n",     // average outside [0,100]
            "1,1,300,2000\n0,10,-512,5\n",     // negative RAM
+           // The header sizes one sample matrix, so it is held against
+           // the data before anything is allocated.
+           "1,1000000000000,300,2000\n0,10,512,5\n",  // short first row
+           "3,1,300,2000\n0,10,512,5\n",              // fewer rows than claimed
+           "1,1,300,2000\n0,10,512,5\n1,10,512,5\n", // more rows than claimed
+           "1,1,300,2000\n0,10\n",                    // row narrower than id,avg,ram
+           "9223372036854775807,9223372036854775807,300,2000\n0,10,512,5\n",
        }) {
     std::istringstream in(text);
     EXPECT_THROW(trace::TraceSet::read_csv(in), std::invalid_argument) << text;
@@ -265,6 +283,51 @@ TEST(TraceSet, ReadRejectsMalformed) {
   const auto set = trace::TraceSet::read_csv(valid);
   EXPECT_EQ(set.num_steps(), 2u);
   EXPECT_EQ(set.percent_at(0, 1), 100.0);
+}
+
+// The step-major matrix is written in blocks of VMs; with a VM count that
+// is not a multiple of the block, every sample must still equal the one
+// generate_series draws from the same stream position.
+TEST(TraceSet, GenerateEqualsPerVmSeriesBitForBit) {
+  trace::WorkloadModel model;
+  constexpr std::size_t kVms = 37;
+  constexpr std::size_t kSteps = 50;
+  Rng rng_a(2718);
+  Rng rng_b(2718);
+  const auto set = trace::TraceSet::generate(model, kVms, kSteps, rng_a);
+  for (std::size_t v = 0; v < kVms; ++v) {
+    const double avg = model.sample_average_percent(rng_b);
+    const double ram = model.sample_ram_mb(rng_b);
+    const std::vector<float> series = model.generate_series(rng_b, avg, kSteps);
+    ASSERT_EQ(set.average_percent(v), avg) << "vm " << v;
+    ASSERT_EQ(set.ram_mb(v), ram) << "vm " << v;
+    for (std::size_t k = 0; k < kSteps; ++k) {
+      ASSERT_EQ(set.percent_at(v, k), static_cast<double>(series[k]))
+          << "vm " << v << " step " << k;
+      ASSERT_EQ(set.step_row(k)[v], series[k]) << "vm " << v << " step " << k;
+    }
+  }
+  EXPECT_EQ(rng_a(), rng_b());
+}
+
+TEST(TraceSet, OutOfRangeRowThrows) {
+  trace::WorkloadModel model;
+  Rng rng(82);
+  const auto set = std::make_shared<const trace::TraceSet>(
+      trace::TraceSet::generate(model, 4, 6, rng));
+  EXPECT_THROW((void)set->percent_at(4, 0), std::out_of_range);
+  EXPECT_THROW((void)set->demand_mhz_at(4, 9), std::out_of_range);
+  const trace::TraceSource source(set);
+  EXPECT_THROW((void)source.demand_mhz(4), std::invalid_argument);
+}
+
+TEST(TraceSet, GenerateRejectsAnOverflowingMatrix) {
+  trace::WorkloadModel model;
+  Rng rng(83);
+  const std::size_t huge = std::numeric_limits<std::size_t>::max() / 2;
+  EXPECT_THROW(trace::TraceSet::generate(model, huge, 3, rng), std::invalid_argument);
+  EXPECT_THROW(trace::TraceSet::generate(model, 0, 3, rng), std::invalid_argument);
+  EXPECT_THROW(trace::TraceSet::generate(model, 3, 0, rng), std::invalid_argument);
 }
 
 TEST(TraceSet, TotalDemand) {
@@ -373,11 +436,14 @@ TEST(RateEstimator, Validation) {
 
 // -------------------------------------------------------- streaming traces
 
+// 320 five-minute steps cross the 288-step day boundary, so the diurnal
+// factor, computed once per step in advance_to, is checked over a full
+// period and past it.
 TEST(StreamingTraces, BitIdenticalToMaterializedGeneration) {
   trace::WorkloadConfig config;
   trace::WorkloadModel model(config);
   constexpr std::size_t kVms = 40;
-  constexpr std::size_t kSteps = 120;
+  constexpr std::size_t kSteps = 320;
 
   Rng rng_a(12345);
   Rng rng_b(12345);
@@ -569,6 +635,21 @@ TEST(TraceSource, SharedMatrixKeepsOneStepPerSource) {
   EXPECT_EQ(a.demand_mhz(1), set->demand_mhz_at(1, 3));
   a.advance_to(2);
   EXPECT_EQ(a.demand_mhz(1), set->demand_mhz_at(1, 2));
+  // Each source resolves its own current row; the per-sweep reader must
+  // index that row, not the other source's.
+  for (std::size_t k = 0; k < 30; ++k) {
+    const std::size_t ka = k;
+    const std::size_t kb = (5 * k + 2) % 20;  // also wraps
+    a.advance_to(ka);
+    b.advance_to(kb);
+    for (const auto& [source, step] : {std::pair{&a, ka}, std::pair{&b, kb}}) {
+      source->visit_rows([&](const auto& rows) {
+        for (std::size_t v = 0; v < 3; ++v) {
+          ASSERT_EQ(rows.demand_mhz(v), set->demand_mhz_at(v, step)) << v << " " << step;
+        }
+      });
+    }
+  }
 }
 
 TEST(TraceSource, AdoptRowCopiesBankRowsAndIsANoOpOnAMatrix) {
