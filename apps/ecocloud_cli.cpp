@@ -330,223 +330,6 @@ std::optional<std::string> parse_run_control(Options& options,
   return resume_path;
 }
 
-/// Telemetry wiring of run-consolidation. attach() subscribes before the
-/// run (so it chains behind any collector already installed), finish()
-/// closes the trace spans and writes the requested output files.
-class CliTelemetry {
- public:
-  CliTelemetry(const TelemetryFlags& flags, LivePlane& live)
-      : flags_(flags), live_(live) {
-    if (flags_.trace_path) trace_.emplace();
-    if (flags_.log_path) {
-      log_file_.open(*flags_.log_path);
-      util::require(log_file_.good(), "cannot open " + *flags_.log_path);
-      logger_.set_sink(&log_file_);
-    } else if (flags_.level != obs::LogLevel::kOff) {
-      logger_.set_sink(&std::clog);
-    }
-    logger_.set_level(flags_.level);
-  }
-
-  [[nodiscard]] bool enabled() const { return flags_.any() || live_.any(); }
-
-  void attach(sim::Simulator& sim, const dc::DataCenter& datacenter,
-              core::EcoCloudController& controller, bool resumed) {
-    if (!enabled()) return;
-    logger_.set_clock([&sim] { return sim.now(); });
-    instr_.emplace(registry_, logger_, trace_ ? &*trace_ : nullptr);
-    instr_->attach_engine(sim);
-    instr_->attach_datacenter(datacenter);
-    instr_->attach_controller(controller);
-    live_.start(registry_, /*num_domains=*/1);
-    if (live_.core() != nullptr) {
-      // Single-calendar runs execute on this thread; one domain covers it.
-      util::set_current_domain(&live_.core()->domain(0));
-    }
-    if (live_.any()) {
-      sim::Simulator* simp = &sim;
-      obs::ChromeTraceWriter* trace = trace_ ? &*trace_ : nullptr;
-      instr_->set_flush_hook([this, simp, trace](sim::SimTime now) {
-        live_.publish(now, simp->executed_events());
-        if (trace != nullptr && live_.profiler() != nullptr) {
-          live_.profiler()->emit_counter_track(*trace, now);
-        }
-      });
-    }
-    // A resumed run re-arms the tagged flush event from the snapshot's
-    // calendar (register_checkpoint) instead of scheduling a fresh one.
-    if (!resumed) instr_->start_flush(sim, kFlushPeriodS);
-  }
-
-  /// Register the flush event's owner so snapshots written or restored
-  /// under telemetry can rebuild it. Telemetry has no state section: it
-  /// is an observer, and its own counters restart on resume.
-  void register_checkpoint(ckpt::CheckpointManager& manager, sim::Simulator& sim) {
-    if (!instr_) return;
-    manager.add_owner(sim::tag_owner::kObsFlush,
-                      [this, &sim](const sim::EventTag& tag) {
-                        util::require(tag.kind == obs::Instrumentation::kEvFlush,
-                                      "snapshot: unknown telemetry event kind");
-                        return instr_->make_flush_callback(sim);
-                      });
-  }
-
-  /// Register pull-mode checkpoint/audit metrics (no-op without telemetry).
-  void attach_robustness(std::function<obs::RobustnessSample()> sample) {
-    if (instr_) instr_->attach_robustness(std::move(sample));
-  }
-
-  void finish(sim::SimTime end) {
-    if (!instr_) return;
-    instr_->finalize(end);
-    if (trace_ && live_.profiler() != nullptr) {
-      live_.profiler()->emit_counter_track(*trace_, end);
-    }
-    flags_.write_metrics(registry_);
-    if (flags_.trace_path) {
-      write_output(*flags_.trace_path,
-                   [this](std::ostream& out) { trace_->write(out); });
-      std::printf("trace written to %s (%zu events; open in ui.perfetto.dev)\n",
-                  flags_.trace_path->c_str(), trace_->size());
-    }
-    if (flags_.log_path) {
-      std::printf("log written to %s (%llu lines)\n", flags_.log_path->c_str(),
-                  static_cast<unsigned long long>(logger_.lines_written()));
-    }
-  }
-
- private:
-  /// Sim-time period of the logger/trace flush hook (5 min).
-  static constexpr double kFlushPeriodS = 300.0;
-
-  const TelemetryFlags& flags_;
-  LivePlane& live_;
-  obs::MetricRegistry registry_;
-  obs::Logger logger_;
-  std::optional<obs::ChromeTraceWriter> trace_;
-  std::ofstream log_file_;
-  std::optional<obs::Instrumentation> instr_;
-};
-
-/// Checkpoint/audit/watchdog wiring of run-consolidation, whose auditor
-/// and checkpoints are calendar events: wire() builds the machinery
-/// against the constructed scenario and launch() either restores a
-/// snapshot or starts the periodic services.
-class Robustness {
- public:
-  Robustness(Options& options, scenario::RunControl run) : run_(std::move(run)) {
-    resume_path_ = parse_run_control(options, run_);
-    util::require(run_.watchdog_stall_s <= 0.0 || run_.audit_every_s > 0.0,
-                  "the watchdog is fed by the auditor's heartbeat: "
-                  "--watchdog-stall needs --audit-every");
-  }
-
-  [[nodiscard]] bool resumed() const { return resume_path_.has_value(); }
-  [[nodiscard]] bool checkpointing() const {
-    return resumed() || !run_.checkpoint_out.empty();
-  }
-
-  /// Build auditor, watchdog, and checkpoint manager. \p register_scenario
-  /// registers the scenario's own sections/owners when checkpointing.
-  template <typename RegisterFn>
-  void wire(sim::Simulator& sim, dc::DataCenter& datacenter,
-            const core::EcoCloudController* controller,
-            CliTelemetry& telemetry, RegisterFn register_scenario) {
-    if (run_.watchdog_stall_s > 0.0) {
-      watchdog_.emplace(ckpt::Watchdog::Config{run_.watchdog_stall_s, {}});
-    }
-    if (run_.audit_every_s > 0.0) {
-      ckpt::AuditorConfig audit;
-      audit.period_s = run_.audit_every_s;
-      audit.action = ckpt::parse_audit_action(run_.audit_action);
-      audit.tolerance = run_.audit_tolerance;
-      audit.strict_vm_accounting = run_.audit_strict;
-      auditor_.emplace(sim, datacenter, audit);
-      if (controller != nullptr) auditor_->attach_controller(controller);
-      if (watchdog_) auditor_->set_watchdog(&*watchdog_);
-    }
-    if (checkpointing()) {
-      manager_.emplace(sim);
-      register_scenario(*manager_);
-      if (auditor_) {
-        manager_->add_section(
-            "auditor", [this](util::BinWriter& w) { auditor_->save_state(w); },
-            [this](util::BinReader& r) { auditor_->load_state(r); });
-        manager_->add_owner(sim::tag_owner::kAuditor,
-                            [this](const sim::EventTag& tag) {
-                              return auditor_->rebuild_event(tag);
-                            });
-      }
-      telemetry.register_checkpoint(*manager_, sim);
-    }
-    if (manager_ || auditor_) {
-      telemetry.attach_robustness([this] {
-        obs::RobustnessSample sample;
-        if (manager_) {
-          const auto& c = manager_->stats();
-          sample.checkpoints_written = c.checkpoints_written;
-          sample.snapshot_bytes_last = c.snapshot_bytes_last;
-          sample.save_wall_seconds_total = c.save_wall_seconds_total;
-        }
-        if (auditor_) {
-          const auto& a = auditor_->stats();
-          sample.audits_run = a.audits_run;
-          sample.audits_failed = a.audits_failed;
-          sample.heals_applied = a.heals_applied;
-        }
-        return sample;
-      });
-    }
-  }
-
-  /// Restore the snapshot (resume) or start the periodic services
-  /// (fresh run). Returns true when the run resumed.
-  bool launch(sim::Simulator& sim) {
-    if (resumed()) {
-      manager_->restore(*resume_path_);
-      // Keep writing snapshots: to --checkpoint-out when given, otherwise
-      // back over the file we resumed from (the campaign keeps advancing).
-      manager_->set_output_path(
-          !run_.checkpoint_out.empty() ? run_.checkpoint_out : *resume_path_);
-      std::printf("resumed from %s at t=%.0f s (%llu events executed)\n",
-                  resume_path_->c_str(), sim.now(),
-                  static_cast<unsigned long long>(sim.executed_events()));
-    } else {
-      if (manager_ && !run_.checkpoint_out.empty()) {
-        manager_->start_periodic(run_.checkpoint_every_s, run_.checkpoint_out);
-      }
-      if (auditor_) auditor_->start();
-    }
-    if (watchdog_) watchdog_->arm();
-    return resumed();
-  }
-
-  void finish() {
-    if (watchdog_) watchdog_->disarm();
-    if (auditor_) {
-      const auto& a = auditor_->stats();
-      std::printf("audits            %llu run, %llu failed (action=%s)\n",
-                  static_cast<unsigned long long>(a.audits_run),
-                  static_cast<unsigned long long>(a.audits_failed),
-                  ckpt::to_string(auditor_->config().action));
-    }
-    if (manager_ && manager_->stats().checkpoints_written > 0) {
-      const auto& c = manager_->stats();
-      std::printf("checkpoints       %llu written (last %llu bytes, %.1f ms)\n",
-                  static_cast<unsigned long long>(c.checkpoints_written),
-                  static_cast<unsigned long long>(c.snapshot_bytes_last),
-                  1e3 * c.save_wall_seconds_last);
-    }
-  }
-
- private:
-  scenario::RunControl run_;
-  std::optional<std::string> resume_path_;
-  std::optional<ckpt::Watchdog> watchdog_;
-  std::optional<ckpt::RuntimeAuditor> auditor_;
-  std::optional<ckpt::CheckpointManager> manager_;
-};
-
 /// --events output format: compact binary records by default (decode with
 /// eventlog2csv); an explicit .csv suffix keeps the legacy text format.
 bool events_path_wants_csv(const std::string& path) {
@@ -897,15 +680,22 @@ int run_daily(Options& options) {
   return 0;
 }
 
+/// run-consolidation: one calendar driven in slices of kSafePointS sim
+/// seconds. Every slice boundary is a safe point, as ShardedDailyRun's
+/// barriers are: the audits and checkpoints that are due run, the watchdog
+/// beats, telemetry flushes and the live plane publishes. None of it is a
+/// calendar event, so the executed events do not depend on which of them
+/// are enabled.
 int run_consolidation(Options& options) {
+  /// Sim-time between safe points (the telemetry flush cadence).
+  constexpr sim::SimTime kSafePointS = 300.0;
+
   auto config = load_config(options, scenario::load_consolidation_config);
   const auto csv_path = options.get("csv");
   LivePlane live(options);
-  Robustness robustness(options, config.run);
+  const auto resume_path = parse_run_control(options, config.run);
   const TelemetryFlags telemetry_flags(options);
-  CliTelemetry telemetry(telemetry_flags, live);
   options.reject_unknown();
-
   if (csv_path) require_writable(*csv_path);
   telemetry_flags.probe();
 
@@ -913,23 +703,167 @@ int run_consolidation(Options& options) {
               config.num_servers, config.initial_vms,
               config.horizon_s / sim::kHour);
   scenario::ConsolidationScenario cons(config);
-  telemetry.attach(cons.simulator(), cons.datacenter(), cons.controller(),
-                   robustness.resumed());
-  robustness.wire(cons.simulator(), cons.datacenter(), &cons.controller(),
-                  telemetry, [&cons](ckpt::CheckpointManager& manager) {
-                    cons.register_checkpoint(manager);
-                  });
-  const bool resumed_run = robustness.launch(cons.simulator());
-  live.begin(cons.simulator().now(), config.horizon_s,
-             cons.simulator().executed_events());
-  if (resumed_run) {
-    cons.run_resumed();
-  } else {
-    cons.run();
+  sim::Simulator& sim = cons.simulator();
+  const scenario::RunControl& rc = cons.config().run;
+
+  obs::MetricRegistry registry;
+  obs::Logger logger;
+  std::optional<obs::ChromeTraceWriter> trace;
+  std::ofstream log_file;
+  std::optional<obs::Instrumentation> instr;
+  if (telemetry_flags.any() || live.any()) {
+    if (telemetry_flags.trace_path) trace.emplace();
+    if (telemetry_flags.log_path) {
+      log_file.open(*telemetry_flags.log_path);
+      util::require(log_file.good(), "cannot open " + *telemetry_flags.log_path);
+      logger.set_sink(&log_file);
+    } else if (telemetry_flags.level != obs::LogLevel::kOff) {
+      logger.set_sink(&std::clog);
+    }
+    logger.set_level(telemetry_flags.level);
+    logger.set_clock([&sim] { return sim.now(); });
+    instr.emplace(registry, logger, trace ? &*trace : nullptr);
+    instr->attach_engine(sim);
+    instr->attach_datacenter(cons.datacenter());
+    instr->attach_controller(cons.controller());
+    live.start(registry, /*num_domains=*/1);
+    if (live.core() != nullptr) {
+      // Single-calendar runs execute on this thread; one domain covers it.
+      util::set_current_domain(&live.core()->domain(0));
+    }
   }
-  robustness.finish();
-  live.finish(cons.simulator().now(), cons.simulator().executed_events());
-  telemetry.finish(cons.simulator().now());
+
+  std::optional<ckpt::Watchdog> watchdog;
+  if (rc.watchdog_stall_s > 0.0) {
+    watchdog.emplace(ckpt::Watchdog::Config{rc.watchdog_stall_s, {}});
+  }
+  std::optional<ckpt::RuntimeAuditor> auditor;
+  if (rc.audit_every_s > 0.0) {
+    auditor.emplace(sim, cons.datacenter(),
+                    ckpt::AuditorConfig{
+                        .action = ckpt::parse_audit_action(rc.audit_action),
+                        .tolerance = rc.audit_tolerance,
+                        .strict_vm_accounting = rc.audit_strict});
+    auditor->attach_controller(&cons.controller());
+  }
+  // Snapshots go to --checkpoint-out, otherwise back over the resumed file.
+  const std::string ckpt_path =
+      !rc.checkpoint_out.empty() ? rc.checkpoint_out : resume_path.value_or("");
+  sim::SimTime ckpt_every = rc.checkpoint_every_s;
+  std::optional<ckpt::CheckpointManager> manager;
+  if (!ckpt_path.empty()) {
+    manager.emplace(sim);
+    cons.register_checkpoint(*manager);
+    // The snapshot keeps the cadence: a resume without --checkpoint-every
+    // goes on writing snapshots at the original one.
+    manager->add_section(
+        "run_control", [&ckpt_every](util::BinWriter& w) { w.f64(ckpt_every); },
+        [&ckpt_every](util::BinReader& r) {
+          const double stored = r.f64();
+          util::require(std::isfinite(stored) && stored >= 0.0,
+                        "invalid checkpoint cadence");
+          if (ckpt_every <= 0.0) ckpt_every = stored;
+        });
+    if (auditor) {
+      manager->add_section(
+          "auditor", [&auditor](util::BinWriter& w) { auditor->save_state(w); },
+          [&auditor](util::BinReader& r) { auditor->load_state(r); });
+    }
+  }
+  if (instr && (manager || auditor)) {
+    instr->attach_robustness([&manager, &auditor] {
+      obs::RobustnessSample sample;
+      if (manager) {
+        const auto& c = manager->stats();
+        sample.checkpoints_written = c.checkpoints_written;
+        sample.snapshot_bytes_last = c.snapshot_bytes_last;
+        sample.save_wall_seconds_total = c.save_wall_seconds_total;
+      }
+      if (auditor) {
+        const auto& a = auditor->stats();
+        sample.audits_run = a.audits_run;
+        sample.audits_failed = a.audits_failed;
+        sample.heals_applied = a.heals_applied;
+      }
+      return sample;
+    });
+  }
+
+  if (resume_path) {
+    manager->restore(*resume_path);
+    std::printf("resumed from %s at t=%.0f s (%llu events executed)\n",
+                resume_path->c_str(), sim.now(),
+                static_cast<unsigned long long>(sim.executed_events()));
+  } else {
+    cons.start();
+  }
+  live.begin(sim.now(), config.horizon_s, sim.executed_events());
+  if (watchdog) watchdog->arm();
+  constexpr sim::SimTime kNever = std::numeric_limits<sim::SimTime>::infinity();
+  sim::SimTime next_audit =
+      auditor ? sim::next_due(sim.now(), rc.audit_every_s) : kNever;
+  sim::SimTime next_ckpt = manager && ckpt_every > 0.0
+                               ? sim::next_due(sim.now(), ckpt_every)
+                               : kNever;
+  // The first safe point is the start, so the trace's counter tracks begin
+  // there; audits and checkpoints are first due one cadence later.
+  for (bool done = false;;) {
+    const sim::SimTime t = sim.now();
+    if (t >= next_audit) {
+      auditor->run_audit();
+      next_audit = sim::next_due(t, rc.audit_every_s);
+    }
+    if (t >= next_ckpt) {
+      manager->save(ckpt_path);
+      next_ckpt = sim::next_due(t, ckpt_every);
+    }
+    if (watchdog) watchdog->beat(sim.executed_events(), t);
+    if (instr) {
+      instr->flush_now(t);
+      if (trace && live.profiler() != nullptr) {
+        live.profiler()->emit_counter_track(*trace, t);
+      }
+    }
+    live.publish(t, sim.executed_events());
+    if (done) break;
+    done = cons.run_slice(sim::next_due(t, kSafePointS));
+  }
+  if (watchdog) watchdog->disarm();
+  cons.finish();
+
+  if (auditor) {
+    const auto& a = auditor->stats();
+    std::printf("audits            %llu run, %llu failed (action=%s)\n",
+                static_cast<unsigned long long>(a.audits_run),
+                static_cast<unsigned long long>(a.audits_failed),
+                ckpt::to_string(auditor->config().action));
+  }
+  if (manager && manager->stats().checkpoints_written > 0) {
+    const auto& c = manager->stats();
+    std::printf("checkpoints       %llu written (last %llu bytes, %.1f ms)\n",
+                static_cast<unsigned long long>(c.checkpoints_written),
+                static_cast<unsigned long long>(c.snapshot_bytes_last),
+                1e3 * c.save_wall_seconds_last);
+  }
+  live.finish(sim.now(), sim.executed_events());
+  if (instr) {
+    instr->finalize(sim.now());
+    if (trace && live.profiler() != nullptr) {
+      live.profiler()->emit_counter_track(*trace, sim.now());
+    }
+    telemetry_flags.write_metrics(registry);
+    if (telemetry_flags.trace_path) {
+      write_output(*telemetry_flags.trace_path,
+                   [&trace](std::ostream& out) { trace->write(out); });
+      std::printf("trace written to %s (%zu events; open in ui.perfetto.dev)\n",
+                  telemetry_flags.trace_path->c_str(), trace->size());
+    }
+    if (telemetry_flags.log_path) {
+      std::printf("log written to %s (%llu lines)\n",
+                  telemetry_flags.log_path->c_str(),
+                  static_cast<unsigned long long>(logger.lines_written()));
+    }
+  }
   const auto& d = cons.datacenter();
   std::printf("final: %zu active / %zu hibernated; arrivals=%llu departures=%llu "
               "rejections=%llu\n",

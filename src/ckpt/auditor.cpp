@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "ecocloud/ckpt/watchdog.hpp"
 #include "ecocloud/util/exit_codes.hpp"
 #include "ecocloud/util/validation.hpp"
 
@@ -36,24 +35,7 @@ RuntimeAuditor::RuntimeAuditor(sim::Simulator& simulator, dc::DataCenter& datace
   util::require(config_.tolerance >= 0.0, "RuntimeAuditor: negative tolerance");
 }
 
-void RuntimeAuditor::start() {
-  util::ensure(!started_, "RuntimeAuditor::start called twice");
-  started_ = true;
-  if (config_.period_s <= 0.0) return;
-  sim_.schedule_periodic(config_.period_s,
-                         sim::EventTag{sim::tag_owner::kAuditor, kEvAudit, 0, 0},
-                         [this] { run_audit(); }, config_.period_s);
-}
-
-sim::Simulator::Callback RuntimeAuditor::rebuild_event(const sim::EventTag& tag) {
-  if (tag.kind == kEvAudit) return [this] { run_audit(); };
-  throw std::runtime_error("RuntimeAuditor: snapshot contains an unknown event "
-                           "kind " +
-                           std::to_string(tag.kind));
-}
-
 void RuntimeAuditor::save_state(util::BinWriter& w) const {
-  w.boolean(started_);
   w.u64(stats_.audits_run);
   w.u64(stats_.audits_failed);
   w.u64(stats_.failures_total);
@@ -61,7 +43,6 @@ void RuntimeAuditor::save_state(util::BinWriter& w) const {
 }
 
 void RuntimeAuditor::load_state(util::BinReader& r) {
-  started_ = r.boolean();
   stats_.audits_run = r.u64();
   stats_.audits_failed = r.u64();
   stats_.failures_total = r.u64();
@@ -109,7 +90,6 @@ std::vector<std::string> RuntimeAuditor::collect_failures() const {
 }
 
 std::vector<std::string> RuntimeAuditor::run_audit() {
-  if (watchdog_ != nullptr) watchdog_->beat(sim_.executed_events(), sim_.now());
   ++stats_.audits_run;
   std::vector<std::string> failures = collect_failures();
   if (failures.empty()) return failures;

@@ -82,11 +82,7 @@ sim::EngineCheckpoint load_engine(util::BinReader& r) {
 
 }  // namespace
 
-CheckpointManager::CheckpointManager(sim::Simulator& simulator) : sim_(simulator) {
-  // The manager owns its own periodic event's rebuild.
-  add_owner(sim::tag_owner::kCheckpoint,
-            [this](const sim::EventTag& tag) { return rebuild_event(tag); });
-}
+CheckpointManager::CheckpointManager(sim::Simulator& simulator) : sim_(simulator) {}
 
 void CheckpointManager::add_section(std::string name, SaveFn save, LoadFn load) {
   util::require(static_cast<bool>(save) && static_cast<bool>(load),
@@ -122,8 +118,8 @@ const CheckpointManager::Owner& CheckpointManager::owner_for(
   throw SnapshotError(
       "snapshot: calendar entry owned by unregistered participant " +
       std::to_string(tag.owner) +
-      " — the resumed run must enable the same subsystems (faults, "
-      "telemetry, auditing) as the run that wrote the snapshot");
+      " — the resumed run must enable the same subsystems (faults) as the "
+      "run that wrote the snapshot");
 }
 
 void CheckpointManager::collect(Snapshot& snapshot, const std::string& prefix) {
@@ -165,6 +161,34 @@ void CheckpointManager::restore_from(const Snapshot& snapshot,
                                      const std::string& context) {
   util::require(!restored_, "CheckpointManager: restore called twice");
 
+  // Decode the calendar and resolve its owners before any section loads,
+  // so a snapshot this build cannot resume leaves the scenario untouched.
+  const std::string engine_name = prefix + kEngineSection;
+  const SnapshotSection* engine = snapshot.find(engine_name);
+  if (engine == nullptr) {
+    throw SnapshotError("snapshot: '" + context + "' has no '" + engine_name +
+                        "' section");
+  }
+  sim::EngineCheckpoint ck;
+  try {
+    util::BinReader r(engine->payload);
+    ck = load_engine(r);
+    r.expect_exhausted(engine_name);
+  } catch (const std::exception& error) {
+    throw SnapshotError("snapshot: '" + context + "' section '" + engine_name +
+                        "' failed to load: " + error.what());
+  }
+  for (const sim::CalendarEntry& entry : ck.entries) {
+    if (sim::tag_owner::retired(entry.tag.owner)) {
+      throw SnapshotError(
+          "snapshot: '" + context + "' has a calendar entry of retired owner " +
+          std::to_string(entry.tag.owner) +
+          " (a checkpoint, audit or telemetry-flush event of an older build, "
+          "which ran them as calendar events); it cannot be resumed");
+    }
+    if (!entry.cancelled) (void)owner_for(entry.tag);
+  }
+
   for (const Section& section : sections_) {
     const std::string name = prefix + section.name;
     const SnapshotSection* stored = snapshot.find(name);
@@ -184,21 +208,6 @@ void CheckpointManager::restore_from(const Snapshot& snapshot,
     }
   }
 
-  const std::string engine_name = prefix + kEngineSection;
-  const SnapshotSection* engine = snapshot.find(engine_name);
-  if (engine == nullptr) {
-    throw SnapshotError("snapshot: '" + context + "' has no '" + engine_name +
-                        "' section");
-  }
-  util::BinReader r(engine->payload);
-  sim::EngineCheckpoint ck;
-  try {
-    ck = load_engine(r);
-    r.expect_exhausted(engine_name);
-  } catch (const std::exception& error) {
-    throw SnapshotError("snapshot: '" + context + "' section '" + engine_name +
-                        "' failed to load: " + error.what());
-  }
   sim_.import_calendar(
       ck,
       [this](const sim::EventTag& tag) { return owner_for(tag).rebuild(tag); },
@@ -247,31 +256,6 @@ void CheckpointManager::restore(const std::string& path) {
   }
 
   restore_from(snapshot, "", path);
-}
-
-void CheckpointManager::start_periodic(sim::SimTime period_s, std::string path) {
-  util::require(period_s > 0.0, "CheckpointManager: period must be > 0");
-  util::require(!path.empty(), "CheckpointManager: empty checkpoint path");
-  util::require(!restored_,
-                "CheckpointManager: a resumed run re-arms its checkpoint "
-                "event from the snapshot; do not call start_periodic");
-  path_ = std::move(path);
-  sim_.schedule_periodic(period_s,
-                         sim::EventTag{sim::tag_owner::kCheckpoint, kEvCheckpoint,
-                                       0, 0},
-                         [this] { periodic_tick(); }, period_s);
-}
-
-sim::Simulator::Callback CheckpointManager::rebuild_event(const sim::EventTag& tag) {
-  if (tag.kind == kEvCheckpoint) return [this] { periodic_tick(); };
-  throw SnapshotError("snapshot: unknown checkpoint event kind " +
-                      std::to_string(tag.kind));
-}
-
-void CheckpointManager::periodic_tick() {
-  // The event always runs (keeping seq consumption identical across
-  // resume chains); writing is skipped only when no output is configured.
-  if (!path_.empty()) save(path_);
 }
 
 }  // namespace ecocloud::ckpt

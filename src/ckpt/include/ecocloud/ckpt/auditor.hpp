@@ -3,8 +3,8 @@
 /// \file auditor.hpp
 /// \brief Runtime conservation-invariant auditor.
 ///
-/// RuntimeAuditor periodically cross-checks the simulation's derived
-/// state against ground truth that can be recomputed brute-force:
+/// RuntimeAuditor cross-checks the simulation's derived state against
+/// ground truth that can be recomputed brute-force:
 ///
 ///  * engine integrity (sim::Simulator::check_integrity): heap order,
 ///    ring sortedness, slab free-list uniqueness, queue_refs accounting;
@@ -26,8 +26,9 @@
 /// behavior when the caches really were wrong — it is a repair action,
 /// not an observer.
 ///
-/// The audit event is tagged, so checkpoint/resume preserves auditing
-/// cadence and its seq consumption like every other periodic service.
+/// The auditor schedules nothing: its owner calls run_audit() at safe
+/// points between run slices (ShardedDailyRun's barriers, run-consolidation's
+/// slice loop), so auditing never changes the executed event sequence.
 
 #include <cstdint>
 #include <string>
@@ -41,8 +42,6 @@
 
 namespace ecocloud::ckpt {
 
-class Watchdog;
-
 enum class AuditAction : std::uint8_t { kLog, kAbort, kHeal };
 
 /// Parse "log" | "abort" | "heal"; throws std::invalid_argument otherwise.
@@ -50,10 +49,6 @@ enum class AuditAction : std::uint8_t { kLog, kAbort, kHeal };
 [[nodiscard]] const char* to_string(AuditAction action);
 
 struct AuditorConfig {
-  /// Sim-time between audits; <= 0 disables the periodic event (run_audit
-  /// can still be called manually).
-  sim::SimTime period_s = 0.0;
-
   AuditAction action = AuditAction::kLog;
 
   /// Relative tolerance for floating-point conservation checks.
@@ -67,32 +62,20 @@ struct AuditorConfig {
 
 class RuntimeAuditor {
  public:
-  /// Snapshot-stable event kinds (tag_owner::kAuditor). Append only.
-  enum EventKind : std::uint16_t { kEvAudit = 1 };
-
   RuntimeAuditor(sim::Simulator& simulator, dc::DataCenter& datacenter,
                  AuditorConfig config);
 
-  /// Optional deeper checks; pass nullptr to skip. Attach before start().
+  /// Optional deeper checks; pass nullptr to skip.
   void attach_controller(const core::EcoCloudController* controller) {
     controller_ = controller;
   }
   void attach_redeploy(const faults::RedeployQueue* queue) { redeploy_ = queue; }
 
-  /// Feed a watchdog: every audit beats it (nullptr detaches).
-  void set_watchdog(Watchdog* watchdog) { watchdog_ = watchdog; }
-
-  /// Schedule the periodic audit event. Call once; a resumed run re-arms
-  /// from the snapshot instead.
-  void start();
-
   /// Run every check now. Returns the failure list (empty = clean) after
   /// applying the configured action; kAbort does not return on failure.
   std::vector<std::string> run_audit();
 
-  [[nodiscard]] sim::Simulator::Callback rebuild_event(const sim::EventTag& tag);
-
-  /// Checkpoint surface (counters + started flag).
+  /// Checkpoint surface (the counters).
   void save_state(util::BinWriter& w) const;
   void load_state(util::BinReader& r);
 
@@ -114,9 +97,7 @@ class RuntimeAuditor {
   AuditorConfig config_;
   const core::EcoCloudController* controller_ = nullptr;
   const faults::RedeployQueue* redeploy_ = nullptr;
-  Watchdog* watchdog_ = nullptr;
   Stats stats_;
-  bool started_ = false;
 };
 
 }  // namespace ecocloud::ckpt

@@ -26,11 +26,10 @@
 /// configuration, because immutable state (fleet, traces, parameters) is
 /// reconstructed from the config rather than stored.
 ///
-/// The periodic checkpoint event is itself part of the calendar, so its
-/// seq-number consumption is identical between an uninterrupted run and
-/// any chain of resumes — cadence never perturbs determinism. With no
-/// checkpointing requested the manager schedules nothing and the run is
-/// bit-identical to a build without this subsystem.
+/// The manager schedules nothing: its owner saves at safe points between
+/// run slices (ShardedDailyRun's barriers, run-consolidation's slice loop,
+/// the campaign server's slices), so checkpointing never enters the event
+/// calendar and a checkpointed run executes the same events as a bare one.
 
 #include <cstdint>
 #include <functional>
@@ -46,9 +45,6 @@ struct Snapshot;
 
 class CheckpointManager {
  public:
-  /// Snapshot-stable event kinds (tag_owner::kCheckpoint). Append only.
-  enum EventKind : std::uint16_t { kEvCheckpoint = 1 };
-
   using SaveFn = std::function<void(util::BinWriter&)>;
   using LoadFn = std::function<void(util::BinReader&)>;
 
@@ -77,7 +73,8 @@ class CheckpointManager {
   /// Restore a snapshot into a freshly constructed scenario: all
   /// registered sections load in order, then the event calendar is
   /// imported (the Simulator must not have run yet). Throws SnapshotError
-  /// on any structural, version, CRC, digest, or section mismatch.
+  /// on any structural, version, CRC, digest, section or calendar-owner
+  /// mismatch; the owners are checked before any section loads.
   void restore(const std::string& path);
 
   /// Append every registered section (named \p prefix + name) plus the
@@ -95,19 +92,6 @@ class CheckpointManager {
 
   /// Number of registered sections (excluding meta and the engine).
   [[nodiscard]] std::size_t num_sections() const { return sections_.size(); }
-
-  /// Schedule the periodic snapshot event (sim-time cadence). Do NOT call
-  /// on a resumed run: the event comes back with the imported calendar,
-  /// which is exactly what keeps seq numbers identical.
-  void start_periodic(sim::SimTime period_s, std::string path);
-
-  /// Default output path for checkpoint events restored from a snapshot
-  /// (the original run's --checkpoint-out is not stored). Empty disables
-  /// writing while keeping the event's seq consumption intact.
-  void set_output_path(std::string path) { path_ = std::move(path); }
-
-  /// Rebuild callback for the manager's own periodic event.
-  [[nodiscard]] sim::Simulator::Callback rebuild_event(const sim::EventTag& tag);
 
   /// Test hook: called after every successful save() with the path.
   std::function<void(const std::string&)> on_saved;
@@ -134,14 +118,12 @@ class CheckpointManager {
     sim::Simulator::BindFn bind;
   };
 
-  void periodic_tick();
   [[nodiscard]] const Owner& owner_for(const sim::EventTag& tag) const;
 
   sim::Simulator& sim_;
   std::vector<Section> sections_;
   std::vector<std::pair<std::uint16_t, Owner>> owners_;
   std::string digest_;
-  std::string path_;
   Stats stats_;
   bool restored_ = false;
 };

@@ -20,11 +20,9 @@
 ///    trace spans but never draw from any RNG and never schedule
 ///    simulation work.
 ///
-/// The optional periodic flush (start_flush) is the one place telemetry
-/// enters the event queue. Its event executes no simulation logic, so it
-/// shifts sequence numbers uniformly without reordering any decision;
-/// executed_events() differs between instrumented and bare runs, the
-/// decision event stream does not.
+/// Telemetry never enters the event queue: the run's owner calls
+/// flush_now() at safe points between run slices, so an instrumented run
+/// executes exactly the events of a bare one.
 
 #include <cstdint>
 #include <functional>
@@ -79,9 +77,6 @@ struct ShardContext {
 
 class Instrumentation {
  public:
-  /// Snapshot-stable event kinds (tag_owner::kObsFlush). Append only.
-  enum EventKind : std::uint16_t { kEvFlush = 1 };
-
   /// \p registry and \p logger must outlive the Instrumentation; \p trace
   /// may be null to disable timeline capture. None of them are owned.
   Instrumentation(MetricRegistry& registry, Logger& logger,
@@ -110,30 +105,10 @@ class Instrumentation {
   /// \p sample is polled when an exporter reads the registry.
   void attach_robustness(std::function<RobustnessSample()> sample);
 
-  /// Schedule a periodic sim-time hook that flushes the logger and, when
-  /// tracing, samples fleet counters onto the timeline. The event runs
-  /// no simulation logic (see file comment for the determinism argument).
-  /// Do not call on a resumed run: the tagged flush event comes back with
-  /// the imported calendar (register make_flush_callback for it).
-  void start_flush(sim::Simulator& simulator, sim::SimTime period_s);
-
-  /// The flush event's body, for checkpoint restore (tag_owner::kObsFlush).
-  [[nodiscard]] sim::Simulator::Callback make_flush_callback(
-      sim::Simulator& simulator);
-
-  /// Flush the logger and sample the trace counters right now. The
-  /// sharded coordinator drives this from its barrier hook instead of
-  /// start_flush: no calendar event means no seq perturbation, so the
-  /// telemetry-off bit-identity holds exactly (not just modulo seq).
+  /// Flush the logger and, when tracing, sample the fleet counters onto
+  /// the timeline. Called at safe points: the sharded coordinator's
+  /// barriers, run-consolidation's slice boundaries.
   void flush_now(sim::SimTime now);
-
-  /// Extra work to run at the end of every flush (periodic event or
-  /// manual flush_now): the live observability plane publishes its
-  /// /metrics and /progress snapshots here. Survives checkpoint resume —
-  /// the rebuilt flush callback goes through flush_now too.
-  void set_flush_hook(std::function<void(sim::SimTime)> hook) {
-    flush_hook_ = std::move(hook);
-  }
 
   /// Close open trace spans (server states, in-flight migrations) at
   /// \p end and flush the logger. Call once, after the run.
@@ -159,7 +134,6 @@ class Instrumentation {
   Logger& logger_;
   ChromeTraceWriter* trace_;
   ShardContext shard_;
-  std::function<void(sim::SimTime)> flush_hook_;
 
   const dc::DataCenter* dc_ = nullptr;
 

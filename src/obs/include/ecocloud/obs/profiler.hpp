@@ -37,7 +37,7 @@ class Profiler {
 
   /// Mirror the duration histograms into the registry and remember total
   /// run wall time (denominator of overhead_ratio()). Call at safe points
-  /// (flush event, barrier) and once at the end.
+  /// (slice boundary, barrier) and once at the end.
   void publish(double run_wall_seconds);
 
   /// Cumulative per-phase estimated milliseconds as a counter sample on

@@ -552,27 +552,9 @@ void Instrumentation::attach_robustness(std::function<RobustnessSample()> sample
   register_robustness(registry_, std::move(sample), labels({}));
 }
 
-void Instrumentation::start_flush(sim::Simulator& simulator,
-                                  sim::SimTime period_s) {
-  util::require(period_s > 0.0, "Instrumentation: flush period must be > 0");
-  // The flush event is telemetry's only entry in the event queue. It runs
-  // no simulation logic and draws no randomness, so the decision stream is
-  // unchanged; only seq numbers (and executed_events) shift.
-  simulator.schedule_periodic(
-      period_s, sim::EventTag{sim::tag_owner::kObsFlush, kEvFlush, 0, 0},
-      make_flush_callback(simulator));
-}
-
-sim::Simulator::Callback Instrumentation::make_flush_callback(
-    sim::Simulator& simulator) {
-  sim::Simulator* sim = &simulator;
-  return [this, sim] { flush_now(sim->now()); };
-}
-
 void Instrumentation::flush_now(sim::SimTime now) {
   sample_trace_counters(now);
   logger_.flush();
-  if (flush_hook_) flush_hook_(now);
 }
 
 void Instrumentation::finalize(sim::SimTime end) {

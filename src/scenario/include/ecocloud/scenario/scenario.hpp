@@ -36,10 +36,11 @@ namespace ecocloud::scenario {
 
 /// Robustness knobs shared by both experiments: periodic crash-safe
 /// checkpoints, the runtime invariant auditor, and the wall-clock
-/// watchdog. Parsed from `[checkpoint]` / `[audit]` / `[watchdog]`
-/// config sections (config_io) and overridable from the CLI. Not part
-/// of the config digest: a snapshot carries its own checkpoint/audit
-/// events, so resuming with different cadences or output paths is safe.
+/// watchdog, all run at safe points between run slices. Parsed from
+/// `[checkpoint]` / `[audit]` / `[watchdog]` config sections (config_io)
+/// and overridable from the CLI. Not part of the config digest: none of
+/// them changes the executed events, so resuming with different cadences
+/// or output paths is safe.
 struct RunControl {
   /// Snapshot file written every checkpoint_every_s of sim time. Empty
   /// disables periodic checkpointing.
@@ -164,14 +165,10 @@ class DailyScenario {
   DailyScenario(DailyConfig config, FleetSlice slice, trace::TraceSource traces);
 
   /// Deploy all VMs at t=0 and simulate the full horizon. Equivalent to
-  /// start() + run_slice(horizon) + finish().
+  /// start() + run_slice(horizon) + finish(). A run restored from a
+  /// snapshot skips start() — state and the event calendar came back with
+  /// it — and calls run_slice(horizon) + finish().
   void run();
-
-  /// Finish the horizon of a run restored from a snapshot. Deployment and
-  /// service start are skipped — state and the event calendar came back
-  /// with the snapshot — and the warmup reset still happens if the
-  /// snapshot predates it.
-  void run_resumed();
 
   /// Setup phase of run() without advancing simulation time: boot the
   /// static fleet if applicable, start fault hooks, create and deploy
@@ -302,11 +299,23 @@ class ConsolidationScenario {
  public:
   explicit ConsolidationScenario(ConsolidationConfig config);
 
+  /// Simulate the full horizon: start() + run_slice(horizon) + finish().
+  /// A run restored from a snapshot skips start().
   void run();
 
-  /// Finish the horizon of a run restored from a snapshot (see
-  /// DailyScenario::run_resumed).
-  void run_resumed();
+  /// Setup without advancing simulation time: the non-consolidated start
+  /// (every server active, the initial population spread uniformly), then
+  /// the drivers and the collector.
+  void start();
+
+  /// Advance the simulation to min(\p until, horizon). Slicing is
+  /// invisible to the event stream (see DailyScenario::run_slice). Returns
+  /// true once the horizon has been reached.
+  bool run_slice(sim::SimTime until);
+
+  /// Advance idle-interval accounting to the horizon. Call exactly once,
+  /// after run_slice() has returned true.
+  void finish();
 
   /// Register state sections and event owners with a checkpoint manager
   /// (datacenter, controller, trace driver, open system, rate estimator,

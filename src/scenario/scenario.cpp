@@ -315,11 +315,6 @@ void DailyScenario::run() {
   finish();
 }
 
-void DailyScenario::run_resumed() {
-  run_slice(config_.horizon_s);
-  finish();
-}
-
 std::string daily_config_digest(const DailyConfig& config, const char* algo) {
   std::string digest = "daily algo=";
   digest += algo;
@@ -448,7 +443,7 @@ double ConsolidationScenario::mean_vm_share() const {
   return mean_mhz / capacity;
 }
 
-void ConsolidationScenario::run() {
+void ConsolidationScenario::start() {
   // Non-consolidated start: every server active, VMs spread uniformly.
   for (std::size_t s = 0; s < config_.num_servers; ++s) {
     eco_->force_activate(static_cast<dc::ServerId>(s));
@@ -461,14 +456,20 @@ void ConsolidationScenario::run() {
   open_->start();
   collector_->sample_now();
   collector_->start();
-
-  sim_.run_until(config_.horizon_s);
-  dc_->advance_to(config_.horizon_s);
 }
 
-void ConsolidationScenario::run_resumed() {
-  sim_.run_until(config_.horizon_s);
-  dc_->advance_to(config_.horizon_s);
+bool ConsolidationScenario::run_slice(sim::SimTime until) {
+  const sim::SimTime target = std::min(until, config_.horizon_s);
+  sim_.run_until(target);
+  return target >= config_.horizon_s;
+}
+
+void ConsolidationScenario::finish() { dc_->advance_to(config_.horizon_s); }
+
+void ConsolidationScenario::run() {
+  start();
+  run_slice(config_.horizon_s);
+  finish();
 }
 
 std::string ConsolidationScenario::config_digest() const {

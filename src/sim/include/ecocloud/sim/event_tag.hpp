@@ -25,9 +25,14 @@ inline constexpr std::uint16_t kCollector = 3;   ///< metrics::MetricsCollector.
 inline constexpr std::uint16_t kOpenSystem = 4;  ///< core::OpenSystemDriver.
 inline constexpr std::uint16_t kFaults = 5;      ///< faults::FaultInjector.
 inline constexpr std::uint16_t kRedeploy = 6;    ///< faults::RedeployQueue.
-inline constexpr std::uint16_t kObsFlush = 7;    ///< obs::Instrumentation flush.
-inline constexpr std::uint16_t kCheckpoint = 8;  ///< ckpt::CheckpointManager.
-inline constexpr std::uint16_t kAuditor = 9;     ///< ckpt::RuntimeAuditor.
+/// 7, 8 and 9 are retired. They owned the calendar events of the
+/// telemetry flush, the periodic checkpoint and the auditor
+/// (kObsFlush/kCheckpoint/kAuditor), which now run at safe points between
+/// run slices. Never reuse them: a snapshot whose calendar carries one is
+/// refused.
+[[nodiscard]] constexpr bool retired(std::uint16_t owner) {
+  return owner >= 7 && owner <= 9;
+}
 }  // namespace tag_owner
 
 /// 16-byte POD identifying a scheduled event across checkpoint/restore.

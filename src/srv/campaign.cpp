@@ -134,9 +134,8 @@ CampaignSpec parse_submission(const std::string& body) {
   std::istringstream scenario_in(spec.config_text);
   spec.config = scenario::load_daily_config(scenario_in);
 
-  // The server owns robustness: campaigns never schedule their own
-  // checkpoint/audit calendar events, which is also what keeps a server
-  // campaign's event stream byte-identical to a bare one-shot CLI run.
+  // The server owns robustness: it checkpoints between slices, and a
+  // campaign's own [checkpoint]/[audit]/[watchdog] sections are dropped.
   spec.config.run = {};
   return spec;
 }

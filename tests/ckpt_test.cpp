@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -277,6 +278,37 @@ TEST(SnapshotUtil, RestoredMapStaysInLockstepUnderFurtherMutation) {
 
 namespace {
 
+/// Drive a started or restored \p scenario to its horizon in slices of
+/// \p period_s sim seconds and finish it, calling \p at_boundary(t) at every
+/// slice boundary t up to the horizon: the safe points at which
+/// run-consolidation and the sharded runner checkpoint and audit.
+template <typename Scenario, typename Fn>
+void run_sliced(Scenario& scenario, sim::SimTime period_s, Fn at_boundary) {
+  const sim::SimTime horizon = scenario.config().horizon_s;
+  // Boundaries k * period_s with a counted k, so they strictly increase
+  // even where rounding makes k * period_s / period_s fall below k.
+  for (double k = std::floor(scenario.simulator().now() / period_s) + 1.0;;
+       k += 1.0) {
+    const sim::SimTime t = k * period_s;
+    const bool done = scenario.run_slice(t);
+    if (t <= horizon) at_boundary(t);
+    if (done) break;
+  }
+  scenario.finish();
+}
+
+/// Copy every snapshot \p manager saves to a numbered file next to \p path.
+void keep_copies(ckpt::CheckpointManager& manager, const std::string& path,
+                 std::vector<std::string>& copies) {
+  manager.on_saved = [&copies, path](const std::string& saved) {
+    const std::string copy = path + "." + std::to_string(copies.size());
+    std::ofstream out(copy, std::ios::binary | std::ios::trunc);
+    std::ifstream in(saved, std::ios::binary);
+    out << in.rdbuf();
+    copies.push_back(copy);
+  };
+}
+
 scenario::DailyConfig resume_daily_config() {
   scenario::DailyConfig config;
   config.fleet.num_servers = 48;
@@ -361,8 +393,8 @@ void register_event_log(ckpt::CheckpointManager& manager, metrics::EventLog& log
       [&log](util::BinReader& r) { log.load_state(r); });
 }
 
-/// Run the reference to completion with periodic checkpointing, keeping a
-/// numbered copy of every snapshot along the way.
+/// Run the reference to completion with a snapshot every \p period_s,
+/// keeping a numbered copy of every snapshot along the way.
 DailyResult run_daily_reference(const scenario::DailyConfig& config,
                                 sim::SimTime period_s, const std::string& path,
                                 std::vector<std::string>& copies) {
@@ -372,15 +404,9 @@ DailyResult run_daily_reference(const scenario::DailyConfig& config,
   ckpt::CheckpointManager manager(daily.simulator());
   daily.register_checkpoint(manager);
   register_event_log(manager, log);
-  manager.on_saved = [&copies, path](const std::string& saved) {
-    const std::string copy = path + "." + std::to_string(copies.size());
-    std::ofstream out(copy, std::ios::binary | std::ios::trunc);
-    std::ifstream in(saved, std::ios::binary);
-    out << in.rdbuf();
-    copies.push_back(copy);
-  };
-  manager.start_periodic(period_s, path);
-  daily.run();
+  keep_copies(manager, path, copies);
+  daily.start();
+  run_sliced(daily, period_s, [&](sim::SimTime) { manager.save(path); });
   return daily_result(daily, log);
 }
 
@@ -394,9 +420,8 @@ DailyResult resume_daily(const scenario::DailyConfig& config,
   daily.register_checkpoint(manager);
   register_event_log(manager, log);
   manager.restore(snapshot);
-  // No output path: checkpoint events still fire (identical seq
-  // consumption) but write nothing.
-  daily.run_resumed();
+  daily.run_slice(config.horizon_s);
+  daily.finish();
   return daily_result(daily, log);
 }
 
@@ -410,7 +435,8 @@ void remove_all(const std::vector<std::string>& paths) {
 // reproduces the uninterrupted run bit for bit — event log CSV bytes, every
 // 30-minute sample, and every accumulated double compare with ==. The
 // snapshot cadence (1800 s) straddles the 1 h warmup, so the first resume
-// point exercises the "snapshot before the accounting reset" path.
+// point exercises the "snapshot before the accounting reset" path and the
+// second the "taken right after it" one.
 TEST(CheckpointResume, DailyRunIsBitIdenticalFromEverySnapshot) {
   const scenario::DailyConfig config = resume_daily_config();
   const std::string path = temp_path("daily.ckpt");
@@ -501,16 +527,9 @@ TEST(CheckpointResume, DailyResumeOfAResumeStaysBitIdentical) {
     daily.register_checkpoint(manager);
     register_event_log(manager, log);
     manager.restore(copies[0]);
-    manager.on_saved = [&second_copies, &second_path](const std::string& saved) {
-      const std::string copy =
-          second_path + "." + std::to_string(second_copies.size());
-      std::ofstream out(copy, std::ios::binary | std::ios::trunc);
-      std::ifstream in(saved, std::ios::binary);
-      out << in.rdbuf();
-      second_copies.push_back(copy);
-    };
-    manager.set_output_path(second_path);
-    daily.run_resumed();
+    keep_copies(manager, second_path, second_copies);
+    run_sliced(daily, 2700.0,
+               [&](sim::SimTime) { manager.save(second_path); });
     expect_same(daily_result(daily, log), reference);
   }
   ASSERT_GE(second_copies.size(), 2u);
@@ -560,7 +579,7 @@ TEST(CheckpointResume, PropertyRandomCadencesAndResumePoints) {
 }
 
 // A run that never checkpoints must not even notice the subsystem exists:
-// registering the manager without start_periodic changes nothing.
+// registering the manager without saving changes nothing.
 TEST(CheckpointResume, RegisteredButIdleManagerIsInvisible) {
   scenario::DailyConfig config = resume_daily_config();
   config.fleet.num_servers = 24;
@@ -635,15 +654,9 @@ TEST(CheckpointResume, ConsolidationRunIsBitIdentical) {
     scenario::ConsolidationScenario cons(config);
     ckpt::CheckpointManager manager(cons.simulator());
     cons.register_checkpoint(manager);
-    manager.on_saved = [&copies, path](const std::string& saved) {
-      const std::string copy = path + "." + std::to_string(copies.size());
-      std::ofstream out(copy, std::ios::binary | std::ios::trunc);
-      std::ifstream in(saved, std::ios::binary);
-      out << in.rdbuf();
-      copies.push_back(copy);
-    };
-    manager.start_periodic(1800.0, path);
-    cons.run();
+    keep_copies(manager, path, copies);
+    cons.start();
+    run_sliced(cons, 1800.0, [&](sim::SimTime) { manager.save(path); });
     reference = cons_result(cons);
   }
   ASSERT_GE(copies.size(), 4u);
@@ -655,7 +668,8 @@ TEST(CheckpointResume, ConsolidationRunIsBitIdentical) {
     ckpt::CheckpointManager manager(cons.simulator());
     cons.register_checkpoint(manager);
     manager.restore(copies[index]);
-    cons.run_resumed();
+    cons.run_slice(config.horizon_s);
+    cons.finish();
     const ConsResult resumed = cons_result(cons);
     EXPECT_EQ(resumed.energy_joules, reference.energy_joules);
     EXPECT_EQ(resumed.vm_seconds, reference.vm_seconds);
@@ -689,8 +703,8 @@ std::string make_daily_snapshot(const scenario::DailyConfig& config,
   ckpt::CheckpointManager manager(daily.simulator());
   daily.register_checkpoint(manager);
   if (with_event_log) register_event_log(manager, log);
-  manager.start_periodic(1800.0, path);
-  daily.run();
+  daily.start();
+  run_sliced(daily, 1800.0, [&](sim::SimTime) { manager.save(path); });
   return path;
 }
 
@@ -803,13 +817,68 @@ TEST(CheckpointConsistency, CorruptedSnapshotNamesTheSection) {
   std::remove(path.c_str());
 }
 
+// Older builds ran the periodic checkpoint, the auditor and the telemetry
+// flush as calendar events, owned by the now retired owners 7, 8 and 9.
+// Their snapshots are refused, naming the owner, before any state loads.
+TEST(CheckpointConsistency, RetiredCalendarOwnersRejectedBeforeAnyStateLoads) {
+  scenario::ConsolidationConfig config;
+  config.num_servers = 10;
+  config.initial_vms = 60;
+  config.horizon_s = 1.0 * sim::kHour;
+  config.seed = 3;
+  for (const std::uint16_t owner : {7, 8, 9}) {
+    SCOPED_TRACE("owner " + std::to_string(owner));
+    const std::string path =
+        temp_path("retired_" + std::to_string(owner) + ".ckpt");
+    bool loaded = false;
+    const auto register_all = [&loaded](scenario::ConsolidationScenario& cons,
+                                        ckpt::CheckpointManager& manager) {
+      // Registered first, so it would be the first section to load.
+      manager.add_section(
+          "probe", [](util::BinWriter&) {},
+          [&loaded](util::BinReader&) { loaded = true; });
+      cons.register_checkpoint(manager);
+    };
+    {
+      scenario::ConsolidationScenario cons(config);
+      ckpt::CheckpointManager manager(cons.simulator());
+      register_all(cons, manager);
+      cons.start();
+      // The calendar entry an older build's periodic service left behind.
+      cons.simulator().schedule_periodic(
+          600.0, sim::EventTag{owner, 1, 0, 0}, [] {}, 600.0);
+      cons.run_slice(900.0);
+      manager.save(path);
+    }
+
+    scenario::ConsolidationScenario cons(config);
+    ckpt::CheckpointManager manager(cons.simulator());
+    register_all(cons, manager);
+    try {
+      manager.restore(path);
+      FAIL() << "snapshot with a retired calendar owner accepted";
+    } catch (const ckpt::SnapshotError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("retired owner " + std::to_string(owner)),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_FALSE(loaded);
+    EXPECT_FALSE(manager.restored());
+    EXPECT_EQ(cons.datacenter().num_vms(), 0u);
+    EXPECT_EQ(cons.simulator().pending_events(), 0u);
+    EXPECT_EQ(cons.simulator().executed_events(), 0u);
+    std::remove(path.c_str());
+  }
+}
+
 // --- Runtime auditor ---------------------------------------------------------
 
 TEST(Auditor, ParseAction) {
   EXPECT_EQ(ckpt::parse_audit_action("log"), ckpt::AuditAction::kLog);
   EXPECT_EQ(ckpt::parse_audit_action("abort"), ckpt::AuditAction::kAbort);
   EXPECT_EQ(ckpt::parse_audit_action("heal"), ckpt::AuditAction::kHeal);
-  EXPECT_THROW(ckpt::parse_audit_action("explode"), std::invalid_argument);
+  EXPECT_THROW((void)ckpt::parse_audit_action("explode"), std::invalid_argument);
   EXPECT_STREQ(ckpt::to_string(ckpt::AuditAction::kAbort), "abort");
 }
 
@@ -821,17 +890,16 @@ TEST(Auditor, CleanDailyRunPassesEveryAudit) {
 
   scenario::DailyScenario daily(config);
   ckpt::AuditorConfig audit;
-  audit.period_s = 600.0;
   audit.action = ckpt::AuditAction::kAbort;  // corruption would kill the test
   ckpt::RuntimeAuditor auditor(daily.simulator(), daily.datacenter(), audit);
   auditor.attach_controller(daily.ecocloud());
   if (daily.fault_injector() != nullptr) {
     auditor.attach_redeploy(&daily.fault_injector()->redeploy());
   }
-  auditor.start();
-  daily.run();
+  daily.start();
+  run_sliced(daily, 600.0, [&](sim::SimTime) { auditor.run_audit(); });
 
-  EXPECT_GE(auditor.stats().audits_run, 17u);  // 3 h / 600 s, minus warmup edge
+  EXPECT_EQ(auditor.stats().audits_run, 18u);  // 3 h / 600 s
   EXPECT_EQ(auditor.stats().audits_failed, 0u);
   EXPECT_EQ(auditor.stats().heals_applied, 0u);
 }
@@ -847,14 +915,14 @@ TEST(Auditor, PassesOnPaperScaleDaily) {
 
   scenario::DailyScenario daily(config);
   ckpt::AuditorConfig audit;
-  audit.period_s = 2.0 * sim::kHour;
   audit.action = ckpt::AuditAction::kAbort;
   ckpt::RuntimeAuditor auditor(daily.simulator(), daily.datacenter(), audit);
   auditor.attach_controller(daily.ecocloud());
-  auditor.start();
-  daily.run();
+  daily.start();
+  run_sliced(daily, 2.0 * sim::kHour,
+             [&](sim::SimTime) { auditor.run_audit(); });
 
-  EXPECT_GE(auditor.stats().audits_run, 23u);
+  EXPECT_EQ(auditor.stats().audits_run, 24u);  // 48 h / 2 h
   EXPECT_EQ(auditor.stats().audits_failed, 0u);
 }
 
@@ -863,7 +931,7 @@ TEST(Auditor, StrictModeDetectsUnownedVm) {
   scenario::DailyScenario daily(config);
   daily.run();
 
-  ckpt::AuditorConfig audit;  // period 0: manual audits only
+  ckpt::AuditorConfig audit;
   audit.strict_vm_accounting = true;
   ckpt::RuntimeAuditor auditor(daily.simulator(), daily.datacenter(), audit);
   auditor.attach_controller(daily.ecocloud());

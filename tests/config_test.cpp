@@ -54,8 +54,8 @@ TEST(KeyValue, RejectsMalformedInput) {
   EXPECT_THROW(util::KeyValueConfig::parse_string("a = 1\na = 2\n"),
                std::invalid_argument);
   const auto kv = util::KeyValueConfig::parse_string("x = abc\n");
-  EXPECT_THROW(kv.get_double("x", 0.0), std::invalid_argument);
-  EXPECT_THROW(kv.get_bool("x", false), std::invalid_argument);
+  EXPECT_THROW((void)kv.get_double("x", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)kv.get_bool("x", false), std::invalid_argument);
 }
 
 TEST(KeyValue, TracksUnusedKeys) {

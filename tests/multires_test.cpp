@@ -157,6 +157,6 @@ TEST(MultiResource, NegativeDemandRejected) {
   Fixture f;
   multires::MultiResourceAssignment proc(f.params, multires::Strategy::kAllTrials,
                                          f.rng);
-  EXPECT_THROW(proc.invite(f.datacenter, -1.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(proc.invite(f.datacenter, 0.0, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)proc.invite(f.datacenter, -1.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)proc.invite(f.datacenter, 0.0, -1.0), std::invalid_argument);
 }

@@ -318,6 +318,18 @@ scenario::DailyConfig small_config() {
   return config;
 }
 
+/// Run \p daily to its horizon in 300 s slices, flushing \p instr at every
+/// slice boundary (the safe points at which the CLI flushes).
+void run_flushing_every_300s(scenario::DailyScenario& daily,
+                             obs::Instrumentation& instr) {
+  daily.start();
+  for (bool done = false; !done;) {
+    done = daily.run_slice(sim::next_due(daily.simulator().now(), 300.0));
+    instr.flush_now(daily.simulator().now());
+  }
+  daily.finish();
+}
+
 }  // namespace
 
 TEST(Instrumentation, PopulatesMetricsLogAndTrace) {
@@ -334,9 +346,8 @@ TEST(Instrumentation, PopulatesMetricsLogAndTrace) {
   instr.attach_engine(daily.simulator());
   instr.attach_datacenter(daily.datacenter());
   instr.attach_controller(*daily.ecocloud());
-  instr.start_flush(daily.simulator(), 300.0);
 
-  daily.run();
+  run_flushing_every_300s(daily, instr);
   instr.finalize(daily.simulator().now());
 
   const auto* executed =
@@ -384,11 +395,10 @@ TEST(Instrumentation, PopulatesMetricsLogAndTrace) {
 // --------------------------------------------------- pure-observer guarantee
 
 // The tentpole invariant: running with the full telemetry stack attached
-// (registry + logger + trace + periodic flush hook) produces exactly the
-// same decision event stream and aggregates as a bare run. Faults are
-// enabled so the failure-path instrumentation is covered too. Note
-// executed_events() legitimately differs (the flush hook is itself an
-// event); the decision stream must not.
+// (registry + logger + trace + a flush at every 300 s slice boundary)
+// produces exactly the same decision event stream, aggregates and executed
+// event count as a bare run. Faults are enabled so the failure-path
+// instrumentation is covered too.
 TEST(ObsRegression, EventStreamBitIdenticalWithTelemetry) {
   scenario::DailyConfig config = small_config();
   config.horizon_s = 12.0 * sim::kHour;
@@ -421,8 +431,7 @@ TEST(ObsRegression, EventStreamBitIdenticalWithTelemetry) {
   if (instr_run.fault_injector() != nullptr) {
     instr.attach_faults(*instr_run.fault_injector());
   }
-  instr.start_flush(instr_run.simulator(), 300.0);
-  instr_run.run();
+  run_flushing_every_300s(instr_run, instr);
   instr.finalize(instr_run.simulator().now());
 
   ASSERT_NE(instr_run.fault_injector(), nullptr);
@@ -452,9 +461,9 @@ TEST(ObsRegression, EventStreamBitIdenticalWithTelemetry) {
   EXPECT_EQ(bare.ecocloud()->high_migrations(),
             instr_run.ecocloud()->high_migrations());
 
-  // The flush hook adds events, so the raw executed count must be larger —
-  // that is the one permitted difference.
-  EXPECT_GT(instr_run.simulator().executed_events(),
+  // Flushes run between slices, not as calendar events: telemetry adds
+  // no event at all.
+  EXPECT_EQ(instr_run.simulator().executed_events(),
             bare.simulator().executed_events());
 }
 

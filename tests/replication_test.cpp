@@ -18,7 +18,7 @@ TEST(StudentT, KnownCriticalValues) {
   EXPECT_NEAR(stats::student_t_95(9), 2.262, 1e-3);
   EXPECT_NEAR(stats::student_t_95(30), 2.042, 1e-3);
   EXPECT_DOUBLE_EQ(stats::student_t_95(1000), 1.96);
-  EXPECT_THROW(stats::student_t_95(0), std::invalid_argument);
+  EXPECT_THROW((void)stats::student_t_95(0), std::invalid_argument);
 }
 
 TEST(StudentT, MonotoneDecreasing) {
@@ -43,7 +43,7 @@ TEST(MeanCi, SingleSampleHasZeroWidth) {
   const auto ci = stats::mean_ci_95({7.0});
   EXPECT_DOUBLE_EQ(ci.mean, 7.0);
   EXPECT_DOUBLE_EQ(ci.half_width, 0.0);
-  EXPECT_THROW(stats::mean_ci_95({}), std::invalid_argument);
+  EXPECT_THROW((void)stats::mean_ci_95({}), std::invalid_argument);
 }
 
 TEST(MeanCi, CoversTrueMeanAtNominalRate) {
@@ -126,7 +126,7 @@ TEST(Replication, WorksForCentralizedAlgorithm) {
 }
 
 TEST(Replication, RejectsZeroReplications) {
-  EXPECT_THROW(scenario::run_replicated(small_config(),
-                                        scenario::Algorithm::kEcoCloud, 0),
+  EXPECT_THROW((void)scenario::run_replicated(
+                   small_config(), scenario::Algorithm::kEcoCloud, 0),
                std::invalid_argument);
 }

@@ -285,17 +285,17 @@ TEST(StringUtil, Split) {
 TEST(StringUtil, ParseDouble) {
   EXPECT_DOUBLE_EQ(util::parse_double(" 2.5 "), 2.5);
   EXPECT_DOUBLE_EQ(util::parse_double("-1e3"), -1000.0);
-  EXPECT_THROW(util::parse_double("abc"), std::invalid_argument);
-  EXPECT_THROW(util::parse_double(""), std::invalid_argument);
-  EXPECT_THROW(util::parse_double("1.5x"), std::invalid_argument);
+  EXPECT_THROW((void)util::parse_double("abc"), std::invalid_argument);
+  EXPECT_THROW((void)util::parse_double(""), std::invalid_argument);
+  EXPECT_THROW((void)util::parse_double("1.5x"), std::invalid_argument);
 }
 
 TEST(StringUtil, ParseInt) {
   EXPECT_EQ(util::parse_int("42"), 42);
   EXPECT_EQ(util::parse_int("-7"), -7);
-  EXPECT_THROW(util::parse_int("4.2"), std::invalid_argument);
-  EXPECT_THROW(util::parse_int("99999999999999999999"), std::invalid_argument);
-  EXPECT_THROW(util::parse_int("-99999999999999999999"), std::invalid_argument);
+  EXPECT_THROW((void)util::parse_int("4.2"), std::invalid_argument);
+  EXPECT_THROW((void)util::parse_int("99999999999999999999"), std::invalid_argument);
+  EXPECT_THROW((void)util::parse_int("-99999999999999999999"), std::invalid_argument);
 }
 
 TEST(StringUtil, StartsWith) {
