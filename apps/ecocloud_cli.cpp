@@ -575,18 +575,11 @@ int run_daily(Options& options) {
       (cfg.horizon_s - cfg.warmup_s) / sim::kHour, cfg.warmup_s / sim::kHour,
       run.num_shards(), run.num_shards() == 1 ? "" : "s", run.num_threads(),
       run.num_threads() == 1 ? "" : "s");
-  const auto events_so_far = [&run] {
-    std::uint64_t events = 0;
-    for (std::size_t k = 0; k < run.num_shards(); ++k) {
-      events += run.shard(k).simulator().executed_events();
-    }
-    return events;
-  };
   if (resume_path) {
     run.restore_snapshot(*resume_path);
     std::printf("resumed from %s at t=%.0f s (%llu events executed)\n",
-                resume_path->c_str(), run.shard(0).simulator().now(),
-                static_cast<unsigned long long>(events_so_far()));
+                resume_path->c_str(), run.now(),
+                static_cast<unsigned long long>(run.executed_events()));
   }
 
   std::optional<par::ShardedTelemetry> telemetry;
@@ -620,24 +613,20 @@ int run_daily(Options& options) {
     run.on_barrier = [&run, &live, &epoch_gauges, &lag_gauges,
                       prev = std::move(prev)](sim::SimTime t) {
       if (prev) prev(t);
-      std::uint64_t events = 0;
       std::vector<obs::ShardProgress> progress;
       progress.reserve(run.num_shards());
       for (std::size_t k = 0; k < run.num_shards(); ++k) {
-        obs::ShardProgress sp;
-        sp.shard = static_cast<int>(k);
-        sp.epoch_wall_s = run.last_epoch_wall_s()[k];
-        sp.barrier_lag_s = run.last_barrier_lag_s()[k];
-        sp.events = run.shard(k).simulator().executed_events();
-        events += sp.events;
-        epoch_gauges[k]->set(sp.epoch_wall_s);
-        lag_gauges[k]->set(sp.barrier_lag_s);
-        progress.push_back(sp);
+        epoch_gauges[k]->set(run.last_epoch_wall_s()[k]);
+        lag_gauges[k]->set(run.last_barrier_lag_s()[k]);
+        progress.push_back({.shard = static_cast<int>(k),
+                            .epoch_wall_s = run.last_epoch_wall_s()[k],
+                            .barrier_lag_s = run.last_barrier_lag_s()[k],
+                            .events = run.shard(k).simulator().executed_events()});
       }
       live.set_shards(std::move(progress));
-      live.publish(t, events);
+      live.publish(t, run.executed_events());
     };
-    live.begin(run.shard(0).simulator().now(), cfg.horizon_s, events_so_far());
+    live.begin(run.now(), cfg.horizon_s, run.executed_events());
   }
 
   run.run();

@@ -103,8 +103,21 @@ class ShardedDailyRun {
 
   /// Deploy all VMs at t=0 (skipped on a resumed run) and simulate to the
   /// horizon, honoring config.run: barrier-aligned checkpoints, audits,
-  /// and watchdog beats. Call once.
+  /// and watchdog beats: start() + run_slice(horizon) + finish().
   void run();
+
+  /// Operability wiring from config.run, then the t=0 deploy wave unless the run was
+  /// restored. Call once, after restore_snapshot if any.
+  void start();
+
+  /// Run whole epochs until the barrier clock reaches \p until or the horizon; true once
+  /// the horizon is reached. Slicing never moves a barrier (an \p until between barriers
+  /// runs on to the next one), so any slices produce the bytes of one run().
+  bool run_slice(sim::SimTime until);
+
+  /// Settle every shard at the horizon and fold the totals into stats().
+  /// Call once, after run_slice returned true.
+  void finish();
 
   /// Write one atomic snapshot of the whole sharded run (coordinator
   /// state plus every shard's sections) to \p path. Normally driven by
@@ -113,22 +126,26 @@ class ShardedDailyRun {
   /// empty and every shard sits at the same sim time.
   void save_snapshot(const std::string& path);
 
-  /// Restore a snapshot written by save_snapshot into this freshly
-  /// constructed run (same config, same K, same sync interval — enforced
-  /// via the stored digest; the thread count is free). run() then
-  /// continues from the snapshot's barrier and produces byte-identical
-  /// output to the uninterrupted run. When config.run names no checkpoint
-  /// cadence, the snapshot's cadence is kept, and snapshots go to
-  /// config.run.checkpoint_out or back over \p path.
+  /// Restore a snapshot written by save_snapshot into this freshly constructed run (same
+  /// config, same K, same sync interval — enforced via the stored digest; the thread
+  /// count is free). The run then continues from the snapshot's barrier with
+  /// byte-identical output and counters. When config.run names no checkpoint cadence,
+  /// the snapshot's cadence is kept, and snapshots go to config.run.checkpoint_out or
+  /// back over \p path.
   void restore_snapshot(const std::string& path);
 
   [[nodiscard]] bool resumed() const { return resumed_; }
+
+  /// The barrier clock: the last completed barrier time.
+  [[nodiscard]] sim::SimTime now() const { return t_; }
+  /// Events executed so far over all shards (stats() has them at finish).
+  [[nodiscard]] std::uint64_t executed_events() const;
 
   /// Whether the shards keep their decision event logs (default true):
   /// merged_events and write_events_* read them. A run that writes no
   /// event log turns them off and keeps no per-decision record in memory.
   /// A snapshot of a run without logs only resumes into another such run.
-  /// Call before save_snapshot, restore_snapshot and run.
+  /// Call before save_snapshot, restore_snapshot and start.
   void set_record_events(bool on);
 
   /// Called after each barrier's hand-off/audit/checkpoint work with the
@@ -183,7 +200,7 @@ class ShardedDailyRun {
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
   /// Worker threads running the epochs (ParConfig::threads resolved, and
   /// never more than the shard count).
-  [[nodiscard]] std::size_t num_threads() const { return pool_->size(); }
+  [[nodiscard]] std::size_t num_threads() const { return pool_ ? pool_->size() : 1; }
   [[nodiscard]] const Shard& shard(std::size_t k) const { return *shards_[k]; }
   [[nodiscard]] Shard& shard(std::size_t k) { return *shards_[k]; }
   [[nodiscard]] const ShardPlan& plan() const { return plan_; }
@@ -196,11 +213,9 @@ class ShardedDailyRun {
   /// The merge inputs behind merged_events: every shard's event-log
   /// segment with its id translation, then the coordinator's rows.
   [[nodiscard]] std::vector<EventStream> event_streams() const;
-  /// Lazily build one CheckpointManager per shard (sections + owners).
+  /// Once, before any event or snapshot: apply set_record_events to the
+  /// shards and build one CheckpointManager per shard (sections + owners).
   void ensure_managers();
-  /// Apply set_record_events to the shards, once, before any event or
-  /// snapshot.
-  void start_recording();
   /// Digest stored in snapshots: the daily digest plus shard count and
   /// sync interval, so snapshots only restore into the same trajectory.
   [[nodiscard]] std::string config_digest() const;
@@ -216,6 +231,7 @@ class ShardedDailyRun {
   ParConfig par_;
   ShardPlan plan_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Null at one worker: the epochs then run on the calling thread.
   std::unique_ptr<util::ThreadPool> pool_;
 
   /// Cross-shard migrations recorded by the coordinator with GLOBAL ids
@@ -230,11 +246,11 @@ class ShardedDailyRun {
   std::vector<std::unique_ptr<ckpt::RuntimeAuditor>> auditors_;
   std::unique_ptr<ckpt::Watchdog> watchdog_;
   std::vector<double> last_energy_;  ///< per shard, for the monotonicity check
+  /// Checkpoint file (config_.run's, else the resumed one); empty when none are written.
   std::string ckpt_path_;
   /// Checkpoint cadence: config_.run's, or on a resume without one the
   /// cadence stored in the snapshot.
   sim::SimTime ckpt_every_s_ = 0.0;
-  std::string resume_path_;
   double next_ckpt_due_ = 0.0;
   double next_audit_due_ = 0.0;
 
@@ -249,8 +265,8 @@ class ShardedDailyRun {
 
   ParStats stats_;
   bool record_events_ = true;
-  bool recording_started_ = false;
-  bool ran_ = false;
+  bool started_ = false;
+  bool finished_ = false;
   bool resumed_ = false;
 };
 

@@ -40,6 +40,7 @@ ShardedDailyRun::ShardedDailyRun(scenario::DailyConfig config, ParConfig par)
     : config_(std::move(config)),
       par_(std::move(par)),
       plan_(par_.shards, config_.fleet.num_servers, config_.num_vms),
+      ckpt_path_(config_.run.checkpoint_out),
       ckpt_every_s_(config_.run.checkpoint_every_s) {
   config_.params.validate();
   config_.faults.validate();
@@ -59,34 +60,28 @@ ShardedDailyRun::ShardedDailyRun(scenario::DailyConfig config, ParConfig par)
     shards_.push_back(
         std::make_unique<Shard>(config_, plan_, k, std::move(sources[k])));
   }
-  // More workers than shards would only ever sit idle.
-  const std::size_t threads =
-      par_.threads != 0
-          ? par_.threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  pool_ = std::make_unique<util::ThreadPool>(std::min(threads, par_.shards));
+  // More workers than shards would only ever sit idle, and a single
+  // worker is the calling thread.
+  const std::size_t threads = std::min(
+      par_.threads != 0 ? par_.threads
+                        : std::max<std::size_t>(1, std::thread::hardware_concurrency()),
+      par_.shards);
+  if (threads > 1) pool_ = std::make_unique<util::ThreadPool>(threads);
 }
 
 ShardedDailyRun::~ShardedDailyRun() = default;
 
 void ShardedDailyRun::set_record_events(bool on) {
-  util::require(!recording_started_,
-                "ShardedDailyRun::set_record_events after a snapshot or run");
+  util::require(managers_.empty(),
+                "ShardedDailyRun::set_record_events after a snapshot or start");
   record_events_ = on;
 }
 
-void ShardedDailyRun::start_recording() {
-  if (recording_started_) return;
-  recording_started_ = true;
-  if (!record_events_) return;
-  for (auto& shard : shards_) shard->record_events();
-}
-
 void ShardedDailyRun::ensure_managers() {
-  start_recording();
   if (!managers_.empty()) return;
   managers_.reserve(shards_.size());
   for (auto& shard : shards_) {
+    if (record_events_) shard->record_events();
     auto manager = std::make_unique<ckpt::CheckpointManager>(shard->simulator());
     shard->register_checkpoint(*manager);
     managers_.push_back(std::move(manager));
@@ -125,9 +120,9 @@ void ShardedDailyRun::save_snapshot(const std::string& path) {
     snapshot.add("meta", w.take());
   }
   {
-    // Coordinator state. Snapshots are written after barrier_handoff, so
-    // the wish queue is empty by construction; what remains is the epoch
-    // clock, the checkpoint cadence and the cross-shard accounting.
+    // Coordinator state. Snapshots are written after barrier_handoff, so the wish queue
+    // is empty by construction; what remains is the epoch clock, the checkpoint cadence,
+    // the cross-shard accounting and the audit counters.
     util::BinWriter w;
     w.f64(t_);
     w.f64(ckpt_every_s_);
@@ -145,6 +140,10 @@ void ShardedDailyRun::save_snapshot(const std::string& path) {
       w.u64(static_cast<std::uint64_t>(e.server));
       w.boolean(e.is_high);
     }
+    w.u64(stats_.audits_run);
+    w.u64(stats_.audit_failures);
+    w.u64(stats_.audit_rounds_failed);
+    w.u64(stats_.audit_heals);
     snapshot.add("coordinator", w.take());
   }
   for (std::size_t k = 0; k < shards_.size(); ++k) {
@@ -164,7 +163,7 @@ void ShardedDailyRun::save_snapshot(const std::string& path) {
 }
 
 void ShardedDailyRun::restore_snapshot(const std::string& path) {
-  util::require(!ran_, "ShardedDailyRun: restore_snapshot after run");
+  util::require(!started_, "ShardedDailyRun: restore_snapshot after start");
   util::require(!resumed_, "ShardedDailyRun: restore_snapshot called twice");
   ensure_managers();
   const ckpt::Snapshot snapshot = ckpt::read_snapshot_file(path);
@@ -221,6 +220,10 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
       e.server = static_cast<dc::ServerId>(r.u64());
       e.is_high = r.boolean();
     }
+    stats_.audits_run = r.u64();
+    stats_.audit_failures = r.u64();
+    stats_.audit_rounds_failed = r.u64();
+    stats_.audit_heals = r.u64();
     r.expect_exhausted("coordinator");
   } catch (const std::runtime_error& error) {
     throw ckpt::SnapshotError("snapshot: '" + path +
@@ -251,24 +254,27 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
       shard->adopt_trace_row(row, *shards_[plan_.shard_of_trace(row)]);
     }
   }
-  resume_path_ = path;
+  if (ckpt_path_.empty()) ckpt_path_ = path;
   resumed_ = true;
 }
 
 void ShardedDailyRun::run() {
-  util::ensure(!ran_, "ShardedDailyRun::run called twice");
-  ran_ = true;
-  start_recording();
+  start();
+  run_slice(config_.horizon_s);
+  finish();
+}
+
+void ShardedDailyRun::start() {
+  util::require(!started_, "ShardedDailyRun::start called twice");
+  started_ = true;
+  ensure_managers();
   const std::size_t K = shards_.size();
 
   // Operability wiring from config_.run. All of it is barrier-driven —
   // none of it schedules calendar events — so enabling checkpoints,
   // audits, or the watchdog never perturbs the simulated trajectory.
   const scenario::RunControl& rc = config_.run;
-  ckpt_path_ = rc.checkpoint_out;
-  if (ckpt_path_.empty() && resumed_) ckpt_path_ = resume_path_;
   if (!ckpt_path_.empty() && ckpt_every_s_ > 0.0) {
-    ensure_managers();
     next_ckpt_due_ = sim::next_due(t_, ckpt_every_s_);
   } else {
     ckpt_path_.clear();
@@ -298,6 +304,8 @@ void ShardedDailyRun::run() {
     watchdog_ = std::make_unique<ckpt::Watchdog>(
         ckpt::Watchdog::Config{rc.watchdog_stall_s, {}});
   }
+  last_epoch_wall_s_.assign(K, 0.0);
+  last_barrier_lag_s_.assign(K, 0.0);
 
   if (!resumed_) {
     // Fault hooks must be live before the first deployment: message loss
@@ -330,16 +338,19 @@ void ShardedDailyRun::run() {
   }
 
   if (watchdog_) watchdog_->arm();
+}
+
+bool ShardedDailyRun::run_slice(sim::SimTime until) {
+  util::require(started_ && !finished_, "ShardedDailyRun: run_slice out of order");
+  const std::size_t K = shards_.size();
 
   // Epoch loop. Barrier times are multiples of the sync interval clipped
   // to the warmup boundary and the horizon, so each shard's run_slice
   // performs the accounting reset, and finish() the final settle, at
-  // exactly the single-calendar times. On a resumed run t_ starts at the
-  // snapshot's barrier and the loop simply continues.
+  // exactly the single-calendar times, however the run is sliced. On a
+  // resumed run t_ starts at the snapshot's barrier.
   const sim::SimTime horizon = config_.horizon_s;
   const sim::SimTime warmup = config_.warmup_s;
-  last_epoch_wall_s_.assign(K, 0.0);
-  last_barrier_lag_s_.assign(K, 0.0);
   // Coordinator-side samples (hand-off, checkpoints, barrier lag) go to
   // the profiler's extra domain; without a profiler this re-installs the
   // thread's current domain, a no-op.
@@ -347,35 +358,28 @@ void ShardedDailyRun::run() {
       profiler_ != nullptr ? &profiler_->domain(K) : util::current_domain());
   // Each worker writes only its own shard's slot; the pool join makes the
   // writes visible to the coordinator before it reads them.
-  const auto run_shard_epoch = [&](std::size_t k, sim::SimTime until) {
+  const auto run_shard_epoch = [&](std::size_t k, sim::SimTime barrier) {
     util::DomainScope scope(profiler_ != nullptr ? &profiler_->domain(k)
                                                  : util::current_domain());
     const std::uint64_t t0 = util::monotonic_ns();
-    shards_[k]->daily().run_slice(until);
+    shards_[k]->daily().run_slice(barrier);
     last_epoch_wall_s_[k] =
         static_cast<double>(util::monotonic_ns() - t0) * 1e-9;
   };
-  while (t_ < horizon) {
+  while (t_ < horizon && t_ < until) {
     sim::SimTime next = t_ + par_.sync_interval_s;
     if (warmup > t_) next = std::min(next, warmup);
     next = std::min(next, horizon);
 
     if (par_.epoch_order) {
-      const std::vector<std::size_t> order =
-          par_.epoch_order(stats_.barriers, K);
-      util::require(order.size() == K,
-                    "ShardedDailyRun: epoch_order must return a permutation "
-                    "of the shard indices");
+      const std::vector<std::size_t> order = par_.epoch_order(stats_.barriers, K);
       std::vector<std::uint8_t> seen(K, 0);
-      for (std::size_t k : order) {
-        util::require(k < K && seen[k] == 0,
-                      "ShardedDailyRun: epoch_order must return a "
-                      "permutation of the shard indices");
-        seen[k] = 1;
-        run_shard_epoch(k, next);
-      }
-    } else if (pool_->size() == 1) {
-      // One worker would only add a hand-off per epoch: run inline.
+      const auto unseen = [&](std::size_t k) { return k < K && seen[k]++ == 0; };
+      util::require(order.size() == K && std::all_of(order.begin(), order.end(), unseen),
+                    "ShardedDailyRun: epoch_order must return a permutation of the "
+                    "shard indices");
+      for (std::size_t k : order) run_shard_epoch(k, next);
+    } else if (!pool_) {
       for (std::size_t k = 0; k < K; ++k) run_shard_epoch(k, next);
     } else {
       pool_->parallel_for(0, K,
@@ -405,11 +409,18 @@ void ShardedDailyRun::run() {
     t_ = next;
     at_barrier();
   }
+  return t_ >= horizon;
+}
+
+void ShardedDailyRun::finish() {
+  util::require(started_ && !finished_ && t_ >= config_.horizon_s,
+                "ShardedDailyRun::finish before the horizon or twice");
+  finished_ = true;
   if (watchdog_) watchdog_->disarm();
   for (auto& shard : shards_) shard->daily().finish();
 
+  stats_.executed_events = executed_events();
   for (auto& shard : shards_) {
-    stats_.executed_events += shard->simulator().executed_events();
     const dc::DataCenter& sdc = shard->datacenter();
     stats_.migrations += sdc.total_migrations();
     stats_.activations += sdc.total_activations();
@@ -424,6 +435,12 @@ void ShardedDailyRun::run() {
   stats_.migrations += stats_.cross_shard_migrations;
   stats_.low_migrations += cross_low_;
   stats_.high_migrations += cross_high_;
+}
+
+std::uint64_t ShardedDailyRun::executed_events() const {
+  std::uint64_t events = 0;
+  for (const auto& shard : shards_) events += shard->simulator().executed_events();
+  return events;
 }
 
 void ShardedDailyRun::barrier_handoff(sim::SimTime now) {
@@ -581,26 +598,21 @@ void ShardedDailyRun::at_barrier() {
     save_snapshot(ckpt_path_);
     next_ckpt_due_ = sim::next_due(t_, ckpt_every_s_);
   }
-  if (watchdog_) {
-    std::uint64_t executed = 0;
-    for (const auto& shard : shards_) {
-      executed += shard->simulator().executed_events();
-    }
-    watchdog_->beat(executed, t_);
-  }
+  if (watchdog_) watchdog_->beat(executed_events(), t_);
   if (on_barrier) on_barrier(t_);
 }
 
 void ShardedDailyRun::run_audits() {
   ++stats_.audits_run;
   const std::uint64_t failures_before = stats_.audit_failures;
-  // Per-shard invariants first (calendar integrity, fleet accounting, VM
-  // ownership vs controller/redeploy tracking) — each shard's auditor
-  // applies the configured action itself (log/heal/abort).
-  stats_.audit_heals = 0;
+  // Per-shard invariants first (calendar integrity, fleet accounting, VM ownership vs
+  // controller/redeploy tracking) — each shard's auditor applies the configured action
+  // itself (log/heal/abort). Heals add up per round: a resume rebuilds the auditors and
+  // restores the counters from the snapshot.
   for (auto& auditor : auditors_) {
+    const std::uint64_t heals_before = auditor->stats().heals_applied;
     if (!auditor->run_audit().empty()) ++stats_.audit_failures;
-    stats_.audit_heals += auditor->stats().heals_applied;
+    stats_.audit_heals += auditor->stats().heals_applied - heals_before;
   }
   // Then the invariants no single shard can see.
   const std::vector<std::string> cross = cross_shard_failures();

@@ -170,12 +170,10 @@ class DailyScenario {
   /// it — and calls run_slice(horizon) + finish().
   void run();
 
-  /// Setup phase of run() without advancing simulation time: boot the
-  /// static fleet if applicable, start fault hooks, create and deploy
-  /// every VM, start the drivers and the collector. The campaign server
-  /// uses start() + repeated run_slice() so it can checkpoint, pause, or
-  /// evict a campaign between slices. Equivalent to begin_deploy(),
-  /// deploy_vm(create_vm(i)) for every trace row i, start_services().
+  /// Setup phase of run() without advancing simulation time: boot the static fleet if
+  /// applicable, start fault hooks, create and deploy every VM, start the drivers and the
+  /// collector. Equivalent to begin_deploy(), deploy_vm(create_vm(i)) for every trace row
+  /// i, start_services() — the steps par::ShardedDailyRun::start drives over its shards.
   void start();
 
   /// First step of start(): boot the static fleet if applicable and

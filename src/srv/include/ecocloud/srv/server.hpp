@@ -30,12 +30,13 @@
 ///    every in-flight campaign at its next slice boundary, flushes the
 ///    journal, and returns only when no worker is running.
 ///
-/// Execution model: campaigns run on a util::ThreadPool, each advanced in
-/// sim-time slices via DailyScenario::run_slice. Slice boundaries are the
-/// safe points — quota checks, pause/cancel requests, and periodic
-/// checkpoints all happen between slices, and slicing is invisible to the
-/// event stream, so a campaign's event log is byte-identical to the same
-/// scenario run in one shot by the CLI (pinned by tests and CI).
+/// Execution model: campaigns run on a util::ThreadPool, each a K=1 par::ShardedDailyRun
+/// (run-daily's driver) advanced in sim-time slices via ShardedDailyRun::run_slice. Slice
+/// boundaries are the safe points — quota checks, pause/cancel requests, and periodic
+/// checkpoints all happen between slices, and slicing is invisible to the event stream,
+/// so a campaign's event log is byte-identical to the same scenario run in one shot by
+/// the CLI (pinned by tests and CI). A campaign checkpoint is a run-daily snapshot, so
+/// `run-daily --resume-from` can finish it.
 
 #include <condition_variable>
 #include <cstdint>

@@ -10,11 +10,9 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "ecocloud/ckpt/checkpoint.hpp"
-#include "ecocloud/ckpt/snapshot_io.hpp"
-#include "ecocloud/metrics/event_log.hpp"
 #include "ecocloud/obs/exporters.hpp"
 #include "ecocloud/obs/progress.hpp"
+#include "ecocloud/par/sharded_runner.hpp"
 #include "ecocloud/util/validation.hpp"
 
 namespace ecocloud::srv {
@@ -144,7 +142,6 @@ void CampaignServer::start() {
     std::lock_guard<std::mutex> lock(mutex_);
     journal_.emplace(config_.data_dir + "/journal.bin");
     recover_locked();
-    refresh_state_gauges_locked();
   }
   pool_.emplace(config_.workers);
   pressure_thread_ = std::thread([this] { pressure_loop(); });
@@ -386,7 +383,6 @@ obs::HttpResponse CampaignServer::submit(const obs::HttpRequest& request) {
   enqueue_locked(id);
   update_campaign_metrics_locked(campaigns_.at(id));
   dispatch_locked();
-  refresh_state_gauges_locked();
   return obs::HttpResponse::json(
       202, "{\"id\":" + std::to_string(id) + ",\"state\":\"" +
                to_string(campaigns_.at(id).state) + "\"}\n");
@@ -512,7 +508,6 @@ obs::HttpResponse CampaignServer::resume(std::uint64_t id) {
   set_state_locked(campaign, CampaignState::kQueued, "resumed by client");
   enqueue_locked(id);
   dispatch_locked();
-  refresh_state_gauges_locked();
   return obs::HttpResponse::json(
       202, "{\"id\":" + std::to_string(id) + ",\"state\":\"queued\"}\n");
 }
@@ -614,43 +609,30 @@ void CampaignServer::run_campaign(std::uint64_t id) {
         campaign.state = CampaignState::kQueued;
         enqueue_locked(id);
       }
-      refresh_state_gauges_locked();
       finish_run_locked();
       return;
     }
     spec = campaign.spec;
     resume_from_checkpoint = campaign.has_checkpoint;
-    refresh_state_gauges_locked();
   }
 
   const std::string ckpt = checkpoint_path(id);
   try {
-    // The scenario is rebuilt from the config on every (re)start; mutable
-    // state comes back from the checkpoint. Registering the event log as
-    // a snapshot section is what makes an evicted-then-resumed campaign's
-    // event log byte-identical to an uninterrupted run.
-    scenario::DailyScenario daily(spec.config);
-    metrics::EventLog event_log;
-    event_log.attach(*daily.ecocloud());
-    ckpt::CheckpointManager manager(daily.simulator());
-    daily.register_checkpoint(manager);
-    manager.add_section(
-        "event_log",
-        [&event_log](util::BinWriter& w) { event_log.save_state(w); },
-        [&event_log](util::BinReader& r) { event_log.load_state(r); });
-    if (resume_from_checkpoint) {
-      manager.restore(ckpt);
-    } else {
-      daily.start();
-    }
+    // The run is rebuilt from the config on every (re)start; mutable state comes back
+    // from the checkpoint, a run-daily snapshot with the event log in it, so an
+    // evicted-then-resumed campaign logs the bytes of an uninterrupted run.
+    par::ShardedDailyRun run(spec.config, {.shards = 1, .threads = 1});
+    run.set_record_events(true);
+    if (resume_from_checkpoint) run.restore_snapshot(ckpt);
+    run.start();
 
     {
       std::lock_guard<std::mutex> lock(mutex_);
       Campaign& campaign = campaigns_.at(id);
-      campaign.sim_now_s = daily.simulator().now();
-      campaign.executed_events = daily.simulator().executed_events();
+      campaign.sim_now_s = run.now();
+      campaign.executed_events = run.executed_events();
       if (campaign.fresh_window) {
-        campaign.watchdog.begin_window(daily.simulator().executed_events());
+        campaign.watchdog.begin_window(campaign.executed_events);
         campaign.fresh_window = false;
       }
     }
@@ -662,14 +644,14 @@ void CampaignServer::run_campaign(std::uint64_t id) {
     bool done = false;
     while (!done) {
       const auto slice_start = Clock::now();
-      done = daily.run_slice(daily.simulator().now() + config_.slice_s);
+      done = run.run_slice(run.now() + config_.slice_s);
       const double slice_wall =
           std::chrono::duration<double>(Clock::now() - slice_start).count();
 
       std::unique_lock<std::mutex> lock(mutex_);
       Campaign& campaign = campaigns_.at(id);
-      campaign.sim_now_s = daily.simulator().now();
-      campaign.executed_events = daily.simulator().executed_events();
+      campaign.sim_now_s = run.now();
+      campaign.executed_events = run.executed_events();
       campaign.watchdog.record(slice_wall, campaign.executed_events,
                                config_.rss_probe());
       update_campaign_metrics_locked(campaign);
@@ -678,48 +660,37 @@ void CampaignServer::run_campaign(std::uint64_t id) {
       if (campaign.cancel_requested) {
         set_state_locked(campaign, CampaignState::kCancelled,
                          "cancelled by client");
-        refresh_state_gauges_locked();
         finish_run_locked();
         return;
       }
+      // Over budget, or asked to pause (drain, memory pressure): park with a checkpoint.
       const std::string violation = campaign.watchdog.violation();
-      if (!violation.empty()) {
-        lock.unlock();
-        manager.save(ckpt);  // serialize outside the server lock
-        lock.lock();
-        Campaign& evicted = campaigns_.at(id);
-        evicted.has_checkpoint = true;
-        registry_.counter("ecocloud_server_evictions_total",
-                          {{"reason", "quota"}})
-            .inc();
-        registry_.counter("ecocloud_server_checkpoints_total").inc();
-        set_state_locked(evicted, CampaignState::kEvicted, violation);
-        refresh_state_gauges_locked();
-        finish_run_locked();
-        return;
-      }
-      if (campaign.pause_requested) {
+      if (!violation.empty() || campaign.pause_requested) {
         campaign.pause_requested = false;
         lock.unlock();
-        manager.save(ckpt);
+        run.save_snapshot(ckpt);  // serialize outside the server lock
         lock.lock();
-        Campaign& paused = campaigns_.at(id);
-        // Read the reason after relocking: a pressure tick during the
-        // save may have re-marked this still-"running" campaign, and the
-        // label must agree with the memory_paused flag the requeue path
-        // keys on.
-        const bool memory = paused.memory_paused;
-        paused.has_checkpoint = true;
+        Campaign& parked = campaigns_.at(id);
+        parked.has_checkpoint = true;
         registry_.counter("ecocloud_server_checkpoints_total").inc();
-        if (memory) {
-          registry_.counter("ecocloud_server_evictions_total",
-                            {{"reason", "memory"}})
+        if (!violation.empty()) {
+          registry_.counter("ecocloud_server_evictions_total", {{"reason", "quota"}})
               .inc();
+          set_state_locked(parked, CampaignState::kEvicted, violation);
+        } else {
+          // Read the reason after relocking: a pressure tick during the
+          // save may have re-marked this still-"running" campaign, and the
+          // label must agree with the memory_paused flag the requeue path
+          // keys on.
+          const bool memory = parked.memory_paused;
+          if (memory) {
+            registry_.counter("ecocloud_server_evictions_total", {{"reason", "memory"}})
+                .inc();
+          }
+          set_state_locked(parked, CampaignState::kPaused,
+                           memory ? "paused under memory pressure"
+                                  : "paused for drain");
         }
-        set_state_locked(paused, CampaignState::kPaused,
-                         memory ? "paused under memory pressure"
-                                : "paused for drain");
-        refresh_state_gauges_locked();
         finish_run_locked();
         return;
       }
@@ -728,13 +699,13 @@ void CampaignServer::run_campaign(std::uint64_t id) {
       if (config_.checkpoint_every_slices > 0 &&
           ++slices_since_checkpoint >= config_.checkpoint_every_slices) {
         slices_since_checkpoint = 0;
-        manager.save(ckpt);
+        run.save_snapshot(ckpt);
         std::lock_guard<std::mutex> guard(mutex_);
         campaigns_.at(id).has_checkpoint = true;
         registry_.counter("ecocloud_server_checkpoints_total").inc();
       }
     }
-    daily.finish();
+    run.finish();
 
     // Atomic event-log publication: tmp + rename, same discipline as
     // snapshots, so a crash mid-write never leaves a half CSV behind.
@@ -743,7 +714,7 @@ void CampaignServer::run_campaign(std::uint64_t id) {
     {
       std::ofstream out(tmp_path);
       util::require(out.good(), "cannot open " + tmp_path);
-      event_log.write_csv(out);
+      run.write_events_csv(out);
       out.flush();
       util::require(out.good(), "cannot write " + tmp_path);
     }
@@ -758,13 +729,11 @@ void CampaignServer::run_campaign(std::uint64_t id) {
     Campaign& campaign = campaigns_.at(id);
     campaign.has_checkpoint = false;
     set_state_locked(campaign, CampaignState::kDone, "");
-    refresh_state_gauges_locked();
     finish_run_locked();
   } catch (const std::exception& ex) {
     std::lock_guard<std::mutex> lock(mutex_);
     Campaign& campaign = campaigns_.at(id);
     set_state_locked(campaign, CampaignState::kFailed, ex.what());
-    refresh_state_gauges_locked();
     finish_run_locked();
   }
 }

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -77,6 +79,30 @@ void expect_samples_identical(const std::vector<metrics::Sample>& a,
     EXPECT_EQ(a[i].window_overload_vm_seconds,
               b[i].window_overload_vm_seconds);
   }
+}
+
+void expect_stats_identical(const par::ParStats& a, const par::ParStats& b) {
+  EXPECT_EQ(a.executed_events, b.executed_events);
+  EXPECT_EQ(a.migrations, b.migrations);
+  EXPECT_EQ(a.low_migrations, b.low_migrations);
+  EXPECT_EQ(a.high_migrations, b.high_migrations);
+  EXPECT_EQ(a.cross_shard_migrations, b.cross_shard_migrations);
+  EXPECT_EQ(a.activations, b.activations);
+  EXPECT_EQ(a.hibernations, b.hibernations);
+  EXPECT_EQ(a.wake_ups, b.wake_ups);
+  EXPECT_EQ(a.assignment_failures, b.assignment_failures);
+  EXPECT_EQ(a.stranded_wishes, b.stranded_wishes);
+  EXPECT_EQ(a.handoff_attempts, b.handoff_attempts);
+  EXPECT_EQ(a.barriers, b.barriers);
+  EXPECT_EQ(a.audits_run, b.audits_run);
+  EXPECT_EQ(a.audit_failures, b.audit_failures);
+  EXPECT_EQ(a.audit_rounds_failed, b.audit_rounds_failed);
+  EXPECT_EQ(a.audit_heals, b.audit_heals);
+  EXPECT_EQ(a.checkpoints_written, b.checkpoints_written);
+  EXPECT_EQ(a.snapshot_bytes_last, b.snapshot_bytes_last);
+  EXPECT_EQ(a.checkpoint_seconds_last, b.checkpoint_seconds_last);
+  EXPECT_EQ(a.checkpoint_seconds_total, b.checkpoint_seconds_total);
+  EXPECT_EQ(a.energy_joules, b.energy_joules);
 }
 
 }  // namespace
@@ -473,6 +499,57 @@ TEST(ShardedDailyRun, ResumeWithoutCadenceKeepsWritingSnapshots) {
   std::remove(ckpt_config.run.checkpoint_out.c_str());
 }
 
+TEST(ShardedDailyRun, AuditCountersSurviveAResume) {
+  // Every audit round fails and heals: a VM nobody owns breaks strict
+  // accounting (K=1), so all four counters move and a resume that lost
+  // any of them would show.
+  auto config = small_config();
+  config.run.audit_every_s = 900.0;
+  config.run.audit_action = "heal";
+  const auto plant_unowned_vm = [](par::ShardedDailyRun& run) {
+    (void)run.shard(0).datacenter().create_vm(500.0, 512.0);
+  };
+
+  auto ckpt_config = config;
+  ckpt_config.run.checkpoint_out = temp_path("audits.ckpt");
+  ckpt_config.run.checkpoint_every_s = 1800.0;
+  const std::string mid = temp_path("audits_mid.ckpt");
+  par::ShardedDailyRun reference(ckpt_config, {.shards = 1, .threads = 1});
+  bool captured = false;
+  reference.on_checkpoint = [&](const std::string& path) {
+    if (captured) return;
+    captured = true;
+    std::ofstream out(mid, std::ios::binary);
+    out << slurp(path);
+  };
+  reference.start();
+  plant_unowned_vm(reference);
+  ASSERT_TRUE(reference.run_slice(config.horizon_s));
+  reference.finish();
+  ASSERT_TRUE(captured);
+  const par::ParStats& want = reference.stats();
+  ASSERT_GT(want.audits_run, 0u);
+  ASSERT_GT(want.audit_failures, 0u);
+  ASSERT_GT(want.audit_rounds_failed, 0u);
+  ASSERT_GT(want.audit_heals, 0u);
+
+  // From a mid-run snapshot the resumed run audits the rest of the
+  // horizon on top of the stored counters; from the final snapshot (taken
+  // at the horizon barrier) it audits nothing and reports them as stored.
+  for (const std::string& snapshot : {mid, ckpt_config.run.checkpoint_out}) {
+    par::ShardedDailyRun resumed(config, {.shards = 1, .threads = 1});
+    resumed.restore_snapshot(snapshot);
+    resumed.run();
+    EXPECT_EQ(resumed.stats().audits_run, want.audits_run);
+    EXPECT_EQ(resumed.stats().audit_failures, want.audit_failures);
+    EXPECT_EQ(resumed.stats().audit_rounds_failed, want.audit_rounds_failed);
+    EXPECT_EQ(resumed.stats().audit_heals, want.audit_heals);
+  }
+
+  std::remove(mid.c_str());
+  std::remove(ckpt_config.run.checkpoint_out.c_str());
+}
+
 TEST(ShardedTelemetry, ExportsTheRobustnessFamilyUnlabeledAtOneShard) {
   // Checkpoint and audit series keep the single-calendar names, without a
   // shard label, next to the coordinator's ecocloud_par_* counters.
@@ -689,6 +766,51 @@ TEST(ShardedDailyRun, RejectsCorruptCoordinatorSectionCleanly) {
 
   std::remove(good.c_str());
   std::remove(bad.c_str());
+}
+
+// ------------------------------------------------------------ slicing
+
+TEST(ShardedDailyRun, SlicedRunIsByteIdenticalToOneShotRun) {
+  // Slices of 300 s, 1800 s and 1000 s (not a multiple of the sync
+  // interval: the slice runs on to the next barrier) must all produce the
+  // bytes and the counters of one run(), barriers included.
+  const auto config = small_config();
+  for (const std::size_t shards : {1u, 4u}) {
+    par::ShardedDailyRun reference(config, {.shards = shards, .threads = 2});
+    reference.run();
+    for (const sim::SimTime step : {300.0, 1800.0, 1000.0}) {
+      par::ShardedDailyRun sliced(config, {.shards = shards, .threads = 2});
+      sliced.start();
+      std::size_t slices = 1;
+      while (!sliced.run_slice(sliced.now() + step)) {
+        ++slices;
+        EXPECT_EQ(std::fmod(sliced.now(), 300.0), 0.0) << sliced.now();
+      }
+      sliced.finish();
+      EXPECT_GT(slices, 1u);
+      EXPECT_EQ(sliced.executed_events(), reference.stats().executed_events);
+      EXPECT_EQ(events_csv(sliced), events_csv(reference))
+          << shards << " shards, " << step << " s slices";
+      expect_samples_identical(sliced.merged_samples(),
+                               reference.merged_samples());
+      expect_stats_identical(sliced.stats(), reference.stats());
+    }
+  }
+}
+
+TEST(ShardedDailyRun, SingleWorkerStartsNoThread) {
+  // With one worker the epochs run on the calling thread, so a K=1 run
+  // (every campaign the server runs) must not spawn an idle pool thread.
+  const std::filesystem::path tasks("/proc/self/task");
+  if (!std::filesystem::exists(tasks)) GTEST_SKIP() << "no /proc";
+  const auto count_threads = [&tasks] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  const auto before = count_threads();
+  par::ShardedDailyRun run(small_config(), {.shards = 1, .threads = 0});
+  EXPECT_EQ(count_threads(), before);
+  EXPECT_EQ(run.num_threads(), 1u);
 }
 
 // -------------------------------------------------- epoch-order explorer

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "ecocloud/metrics/event_log.hpp"
+#include "ecocloud/par/sharded_runner.hpp"
 #include "ecocloud/scenario/config_io.hpp"
 #include "ecocloud/scenario/scenario.hpp"
 #include "ecocloud/srv/campaign.hpp"
@@ -452,6 +453,61 @@ TEST(CampaignServer, QuotaEvictionThenResumeMatchesOneShotByteForByte) {
   EXPECT_EQ(status_of(server.handle(make_request("POST",
                                                  "/campaigns/1/resume"))),
             409);
+  server.drain();
+}
+
+TEST(CampaignServer, CampaignCheckpointResumesUnderRunDaily) {
+  // A campaign checkpoint is a run-daily snapshot: a fresh K=1
+  // ShardedDailyRun (what run-daily --resume-from builds) finishes an
+  // evicted campaign byte-identically to the one-shot run.
+  srv::CampaignServer server(fast_config(temp_dir("ckpt_under_run_daily")));
+  server.start();
+  const std::string body =
+      "campaign.event_budget = 300\n" + std::string(kScenarioText);
+  ASSERT_EQ(status_of(server.handle(make_request("POST", "/campaigns", body))),
+            202);
+  ASSERT_TRUE(wait_for_state(server, 1, srv::CampaignState::kEvicted));
+
+  std::istringstream in(kScenarioText);
+  par::ShardedDailyRun run(scenario::load_daily_config(in),
+                           {.shards = 1, .threads = 1});
+  run.set_record_events(true);
+  run.restore_snapshot(server.checkpoint_path(1));
+  EXPECT_GT(run.now(), 0.0);
+  run.run();
+  std::ostringstream events;
+  run.write_events_csv(events);
+  EXPECT_EQ(events.str(), one_shot_events(kScenarioText));
+  server.drain();
+}
+
+TEST(CampaignServer, GarbageCheckpointFailsTheCampaignNotTheServer) {
+  srv::CampaignServer server(fast_config(temp_dir("garbage_ckpt")));
+  server.start();
+  const std::string body =
+      "campaign.event_budget = 300\n" + std::string(kScenarioText);
+  ASSERT_EQ(status_of(server.handle(make_request("POST", "/campaigns", body))),
+            202);
+  ASSERT_TRUE(wait_for_state(server, 1, srv::CampaignState::kEvicted));
+  {
+    std::ofstream out(server.checkpoint_path(1),
+                      std::ios::binary | std::ios::trunc);
+    out << "not a snapshot at all";
+  }
+  ASSERT_EQ(status_of(server.handle(make_request("POST", "/campaigns/1/resume"))),
+            202);
+  ASSERT_TRUE(wait_for_state(server, 1, srv::CampaignState::kFailed));
+  const auto status = server.handle(make_request("GET", "/campaigns/1"));
+  EXPECT_NE(status.body.find("is not an ecocloud snapshot"), std::string::npos)
+      << status.body;
+
+  // The server keeps answering and runs the next campaign to completion.
+  EXPECT_EQ(server.handle(make_request("GET", "/healthz")).body, "ok\n");
+  ASSERT_EQ(status_of(server.handle(
+                make_request("POST", "/campaigns", kScenarioText))),
+            202);
+  ASSERT_TRUE(wait_for_state(server, 2, srv::CampaignState::kDone));
+  EXPECT_EQ(read_file(server.events_path(2)), one_shot_events(kScenarioText));
   server.drain();
 }
 
