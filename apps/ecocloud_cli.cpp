@@ -31,7 +31,7 @@
 
 #include "ecocloud/ckpt/auditor.hpp"
 #include "ecocloud/ckpt/checkpoint.hpp"
-#include "ecocloud/ckpt/watchdog.hpp"
+#include "ecocloud/ckpt/safe_points.hpp"
 #include "ecocloud/core/probability.hpp"
 #include "ecocloud/metrics/episode_summary.hpp"
 #include "ecocloud/obs/chrome_trace.hpp"
@@ -313,7 +313,7 @@ struct TelemetryFlags {
 /// override the config file's [checkpoint] / [audit] / [watchdog] sections
 /// in \p run. Returns the --resume-from path, if any.
 std::optional<std::string> parse_run_control(Options& options,
-                                             scenario::RunControl& run) {
+                                             ckpt::RunControl& run) {
   if (const auto v = options.get("checkpoint-out")) run.checkpoint_out = *v;
   run.checkpoint_every_s =
       options.get_double("checkpoint-every", run.checkpoint_every_s);
@@ -433,6 +433,26 @@ auto load_config(Options& options, LoadFn load) {
   return load(empty);
 }
 
+/// The end-of-run audit and checkpoint lines of both run commands (their
+/// safe points are run-daily's barriers and run-consolidation's slice ends).
+void print_safe_point_summary(const ckpt::SaveStats& saves,
+                              const ckpt::AuditCounters& audits,
+                              const std::string& action) {
+  if (audits.audits_run > 0) {
+    std::printf("audits            %llu barrier rounds, %llu failed checks "
+                "(action=%s)\n",
+                static_cast<unsigned long long>(audits.audits_run),
+                static_cast<unsigned long long>(audits.audit_failures),
+                action.c_str());
+  }
+  if (saves.checkpoints_written > 0) {
+    std::printf("checkpoints       %llu written (last %llu bytes, %.1f ms)\n",
+                static_cast<unsigned long long>(saves.checkpoints_written),
+                static_cast<unsigned long long>(saves.snapshot_bytes_last),
+                1e3 * saves.checkpoint_seconds_last);
+  }
+}
+
 /// The end-of-run report of a daily run, summed over the shards (K=1 is
 /// the single-calendar run).
 void print_daily_summary(par::ShardedDailyRun& run) {
@@ -512,19 +532,7 @@ void print_daily_summary(par::ShardedDailyRun& run) {
                 100.0 * (demanded > 0.0 ? vm_seconds / demanded : 1.0),
                 downtime / 60.0, redeploy.empty() ? 0.0 : redeploy.median());
   }
-  if (s.audits_run > 0) {
-    std::printf("audits            %llu barrier rounds, %llu failed checks "
-                "(action=%s)\n",
-                static_cast<unsigned long long>(s.audits_run),
-                static_cast<unsigned long long>(s.audit_failures),
-                run.config().run.audit_action.c_str());
-  }
-  if (s.checkpoints_written > 0) {
-    std::printf("checkpoints       %llu written (last %llu bytes, %.1f ms)\n",
-                static_cast<unsigned long long>(s.checkpoints_written),
-                static_cast<unsigned long long>(s.snapshot_bytes_last),
-                1e3 * s.checkpoint_seconds_last);
-  }
+  print_safe_point_summary(s, s, run.config().run.audit_action);
 }
 
 /// run-daily: one code path for every shard count. K=1 (the default) is
@@ -534,8 +542,6 @@ int run_daily(Options& options) {
   auto config = load_config(options, scenario::load_daily_config);
   const auto csv_path = options.get("csv");
   const auto events_path = options.get("events");
-  // No watchdog-needs-audit coupling: the coordinator beats the watchdog
-  // at every barrier whether or not audits are enabled.
   const auto resume_path = parse_run_control(options, config.run);
   const TelemetryFlags telemetry_flags(options);
 
@@ -569,7 +575,7 @@ int run_daily(Options& options) {
   run.set_record_events(events_path.has_value());
   const scenario::DailyConfig& cfg = run.config();
   std::printf(
-      "daily run: %zu servers, %zu VMs, %.0f h (+%.0f h warm-up), "
+      "daily run: %zu servers, %zu VMs, %g h (+%g h warm-up), "
       "%zu shard%s on %zu thread%s\n",
       cfg.fleet.num_servers, cfg.num_vms,
       (cfg.horizon_s - cfg.warmup_s) / sim::kHour, cfg.warmup_s / sim::kHour,
@@ -688,12 +694,13 @@ int run_consolidation(Options& options) {
   if (csv_path) require_writable(*csv_path);
   telemetry_flags.probe();
 
-  std::printf("consolidation run: %zu servers, %zu initial VMs, %.0f h\n",
+  std::printf("consolidation run: %zu servers, %zu initial VMs, %g h\n",
               config.num_servers, config.initial_vms,
               config.horizon_s / sim::kHour);
   scenario::ConsolidationScenario cons(config);
   sim::Simulator& sim = cons.simulator();
-  const scenario::RunControl& rc = cons.config().run;
+  ckpt::SafePoints safe_points(cons.config().run);
+  if (resume_path) safe_points.resume_from(*resume_path);
 
   obs::MetricRegistry registry;
   obs::Logger logger;
@@ -722,12 +729,9 @@ int run_consolidation(Options& options) {
     }
   }
 
-  std::optional<ckpt::Watchdog> watchdog;
-  if (rc.watchdog_stall_s > 0.0) {
-    watchdog.emplace(ckpt::Watchdog::Config{rc.watchdog_stall_s, {}});
-  }
+  const ckpt::RunControl& rc = safe_points.control();
   std::optional<ckpt::RuntimeAuditor> auditor;
-  if (rc.audit_every_s > 0.0) {
+  if (safe_points.auditing()) {
     auditor.emplace(sim, cons.datacenter(),
                     ckpt::AuditorConfig{
                         .action = ckpt::parse_audit_action(rc.audit_action),
@@ -735,47 +739,17 @@ int run_consolidation(Options& options) {
                         .strict_vm_accounting = rc.audit_strict});
     auditor->attach_controller(&cons.controller());
   }
-  // Snapshots go to --checkpoint-out, otherwise back over the resumed file.
-  const std::string ckpt_path =
-      !rc.checkpoint_out.empty() ? rc.checkpoint_out : resume_path.value_or("");
-  sim::SimTime ckpt_every = rc.checkpoint_every_s;
   std::optional<ckpt::CheckpointManager> manager;
-  if (!ckpt_path.empty()) {
+  if (!safe_points.checkpoint_path().empty()) {
     manager.emplace(sim);
     cons.register_checkpoint(*manager);
-    // The snapshot keeps the cadence: a resume without --checkpoint-every
-    // goes on writing snapshots at the original one.
     manager->add_section(
-        "run_control", [&ckpt_every](util::BinWriter& w) { w.f64(ckpt_every); },
-        [&ckpt_every](util::BinReader& r) {
-          const double stored = r.f64();
-          util::require(std::isfinite(stored) && stored >= 0.0,
-                        "invalid checkpoint cadence");
-          if (ckpt_every <= 0.0) ckpt_every = stored;
-        });
-    if (auditor) {
-      manager->add_section(
-          "auditor", [&auditor](util::BinWriter& w) { auditor->save_state(w); },
-          [&auditor](util::BinReader& r) { auditor->load_state(r); });
-    }
+        "safe_points", [&safe_points](util::BinWriter& w) { safe_points.save_state(w); },
+        [&safe_points](util::BinReader& r) { safe_points.load_state(r); });
   }
-  if (instr && (manager || auditor)) {
-    instr->attach_robustness([&manager, &auditor] {
-      obs::RobustnessSample sample;
-      if (manager) {
-        const auto& c = manager->stats();
-        sample.checkpoints_written = c.checkpoints_written;
-        sample.snapshot_bytes_last = c.snapshot_bytes_last;
-        sample.save_wall_seconds_total = c.save_wall_seconds_total;
-      }
-      if (auditor) {
-        const auto& a = auditor->stats();
-        sample.audits_run = a.audits_run;
-        sample.audits_failed = a.audits_failed;
-        sample.heals_applied = a.heals_applied;
-      }
-      return sample;
-    });
+  const auto saves = [&manager] { return manager ? manager->stats() : ckpt::SaveStats{}; };
+  if (instr && safe_points.active()) {
+    ckpt::register_robustness(registry, saves, safe_points);
   }
 
   if (resume_path) {
@@ -787,26 +761,15 @@ int run_consolidation(Options& options) {
     cons.start();
   }
   live.begin(sim.now(), config.horizon_s, sim.executed_events());
-  if (watchdog) watchdog->arm();
-  constexpr sim::SimTime kNever = std::numeric_limits<sim::SimTime>::infinity();
-  sim::SimTime next_audit =
-      auditor ? sim::next_due(sim.now(), rc.audit_every_s) : kNever;
-  sim::SimTime next_ckpt = manager && ckpt_every > 0.0
-                               ? sim::next_due(sim.now(), ckpt_every)
-                               : kNever;
+  safe_points.start(sim.now());
   // The first safe point is the start, so the trace's counter tracks begin
   // there; audits and checkpoints are first due one cadence later.
   for (bool done = false;;) {
     const sim::SimTime t = sim.now();
-    if (t >= next_audit) {
-      auditor->run_audit();
-      next_audit = sim::next_due(t, rc.audit_every_s);
-    }
-    if (t >= next_ckpt) {
-      manager->save(ckpt_path);
-      next_ckpt = sim::next_due(t, ckpt_every);
-    }
-    if (watchdog) watchdog->beat(sim.executed_events(), t);
+    safe_points.at(
+        t, sim.executed_events(),
+        [&auditor](ckpt::AuditRound& round) { ckpt::audit_into(*auditor, round); },
+        [&manager](const std::string& path) { manager->save(path); });
     if (instr) {
       instr->flush_now(t);
       if (trace && live.profiler() != nullptr) {
@@ -817,23 +780,10 @@ int run_consolidation(Options& options) {
     if (done) break;
     done = cons.run_slice(sim::next_due(t, kSafePointS));
   }
-  if (watchdog) watchdog->disarm();
+  safe_points.finish();
   cons.finish();
 
-  if (auditor) {
-    const auto& a = auditor->stats();
-    std::printf("audits            %llu run, %llu failed (action=%s)\n",
-                static_cast<unsigned long long>(a.audits_run),
-                static_cast<unsigned long long>(a.audits_failed),
-                ckpt::to_string(auditor->config().action));
-  }
-  if (manager && manager->stats().checkpoints_written > 0) {
-    const auto& c = manager->stats();
-    std::printf("checkpoints       %llu written (last %llu bytes, %.1f ms)\n",
-                static_cast<unsigned long long>(c.checkpoints_written),
-                static_cast<unsigned long long>(c.snapshot_bytes_last),
-                1e3 * c.save_wall_seconds_last);
-  }
+  print_safe_point_summary(saves(), safe_points.audits(), rc.audit_action);
   live.finish(sim.now(), sim.executed_events());
   if (instr) {
     instr->finalize(sim.now());

@@ -35,20 +35,6 @@ RuntimeAuditor::RuntimeAuditor(sim::Simulator& simulator, dc::DataCenter& datace
   util::require(config_.tolerance >= 0.0, "RuntimeAuditor: negative tolerance");
 }
 
-void RuntimeAuditor::save_state(util::BinWriter& w) const {
-  w.u64(stats_.audits_run);
-  w.u64(stats_.audits_failed);
-  w.u64(stats_.failures_total);
-  w.u64(stats_.heals_applied);
-}
-
-void RuntimeAuditor::load_state(util::BinReader& r) {
-  stats_.audits_run = r.u64();
-  stats_.audits_failed = r.u64();
-  stats_.failures_total = r.u64();
-  stats_.heals_applied = r.u64();
-}
-
 void RuntimeAuditor::check_vm_ownership(std::vector<std::string>& failures) const {
   if (controller_ == nullptr) return;
   const auto& queued = controller_->queued_vms();
@@ -95,7 +81,6 @@ std::vector<std::string> RuntimeAuditor::run_audit() {
   if (failures.empty()) return failures;
 
   ++stats_.audits_failed;
-  stats_.failures_total += failures.size();
   std::fprintf(stderr, "[audit] t=%.3f: %zu invariant violation(s):\n", sim_.now(),
                failures.size());
   for (const std::string& failure : failures) {

@@ -82,6 +82,56 @@ sim::EngineCheckpoint load_engine(util::BinReader& r) {
 
 }  // namespace
 
+void write_counted(const Snapshot& snapshot, const std::string& path,
+                   std::chrono::steady_clock::time_point started, SaveStats& stats) {
+  write_snapshot_file(snapshot, path);
+  ++stats.checkpoints_written;
+  stats.snapshot_bytes_last = 0;
+  for (const SnapshotSection& section : snapshot.sections) {
+    stats.snapshot_bytes_last += section.payload.size();
+  }
+  stats.checkpoint_seconds_last =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+  stats.checkpoint_seconds_total += stats.checkpoint_seconds_last;
+}
+
+void add_meta(Snapshot& snapshot, const std::string& digest) {
+  util::BinWriter w;
+  w.str(digest);
+  snapshot.add(kMetaSection, w.take());
+}
+
+void load_section(const Snapshot& snapshot, const std::string& path,
+                  const std::string& name,
+                  const std::function<void(util::BinReader&)>& load) {
+  const SnapshotSection* section = snapshot.find(name);
+  if (section == nullptr) {
+    throw SnapshotError("snapshot: '" + path + "' is missing section '" + name + "'");
+  }
+  try {
+    util::BinReader r(section->payload);
+    load(r);
+    r.expect_exhausted(name);
+  } catch (const SnapshotError&) {
+    throw;
+  } catch (const std::exception& error) {
+    throw SnapshotError("snapshot: '" + path + "' section '" + name +
+                        "' failed to load: " + error.what());
+  }
+}
+
+void check_meta(const Snapshot& snapshot, const std::string& path,
+                const std::string& digest) {
+  std::string stored;
+  load_section(snapshot, path, kMetaSection,
+               [&stored](util::BinReader& r) { stored = r.str(); });
+  if (stored != digest) {
+    throw SnapshotError("snapshot: '" + path +
+                        "' was written for a different configuration\n  stored:  " +
+                        stored + "\n  current: " + digest);
+  }
+}
+
 CheckpointManager::CheckpointManager(sim::Simulator& simulator) : sim_(simulator) {}
 
 void CheckpointManager::add_section(std::string name, SaveFn save, LoadFn load) {
@@ -136,23 +186,9 @@ void CheckpointManager::save(const std::string& path) {
   const auto t0 = std::chrono::steady_clock::now();
 
   Snapshot snapshot;
-  {
-    util::BinWriter w;
-    w.str(digest_);
-    snapshot.add(kMetaSection, w.take());
-  }
+  add_meta(snapshot, digest_);
   collect(snapshot, "");
-  write_snapshot_file(snapshot, path);
-
-  const auto t1 = std::chrono::steady_clock::now();
-  ++stats_.checkpoints_written;
-  std::uint64_t total = 0;
-  for (const SnapshotSection& section : snapshot.sections) {
-    total += section.payload.size();
-  }
-  stats_.snapshot_bytes_last = total;
-  stats_.save_wall_seconds_last = std::chrono::duration<double>(t1 - t0).count();
-  stats_.save_wall_seconds_total += stats_.save_wall_seconds_last;
+  write_counted(snapshot, path, t0, stats_);
   if (on_saved) on_saved(path);
 }
 
@@ -163,21 +199,9 @@ void CheckpointManager::restore_from(const Snapshot& snapshot,
 
   // Decode the calendar and resolve its owners before any section loads,
   // so a snapshot this build cannot resume leaves the scenario untouched.
-  const std::string engine_name = prefix + kEngineSection;
-  const SnapshotSection* engine = snapshot.find(engine_name);
-  if (engine == nullptr) {
-    throw SnapshotError("snapshot: '" + context + "' has no '" + engine_name +
-                        "' section");
-  }
   sim::EngineCheckpoint ck;
-  try {
-    util::BinReader r(engine->payload);
-    ck = load_engine(r);
-    r.expect_exhausted(engine_name);
-  } catch (const std::exception& error) {
-    throw SnapshotError("snapshot: '" + context + "' section '" + engine_name +
-                        "' failed to load: " + error.what());
-  }
+  load_section(snapshot, context, prefix + kEngineSection,
+               [&ck](util::BinReader& r) { ck = load_engine(r); });
   for (const sim::CalendarEntry& entry : ck.entries) {
     if (sim::tag_owner::retired(entry.tag.owner)) {
       throw SnapshotError(
@@ -190,22 +214,7 @@ void CheckpointManager::restore_from(const Snapshot& snapshot,
   }
 
   for (const Section& section : sections_) {
-    const std::string name = prefix + section.name;
-    const SnapshotSection* stored = snapshot.find(name);
-    if (stored == nullptr) {
-      throw SnapshotError("snapshot: '" + context + "' is missing section '" +
-                          name + "'");
-    }
-    util::BinReader r(stored->payload);
-    try {
-      section.load(r);
-      r.expect_exhausted(name);
-    } catch (const SnapshotError&) {
-      throw;
-    } catch (const std::exception& error) {
-      throw SnapshotError("snapshot: '" + context + "' section '" + name +
-                          "' failed to load: " + error.what());
-    }
+    load_section(snapshot, context, prefix + section.name, section.load);
   }
 
   sim_.import_calendar(
@@ -220,21 +229,7 @@ void CheckpointManager::restore_from(const Snapshot& snapshot,
 
 void CheckpointManager::restore(const std::string& path) {
   const Snapshot snapshot = read_snapshot_file(path);
-
-  const SnapshotSection* meta = snapshot.find(kMetaSection);
-  if (meta == nullptr) {
-    throw SnapshotError("snapshot: '" + path + "' has no meta section");
-  }
-  {
-    util::BinReader r(meta->payload);
-    const std::string stored = r.str();
-    r.expect_exhausted(kMetaSection);
-    if (stored != digest_) {
-      throw SnapshotError("snapshot: '" + path +
-                          "' was written for a different configuration\n  stored:  " +
-                          stored + "\n  current: " + digest_);
-    }
-  }
+  check_meta(snapshot, path, digest_);
 
   // Every non-registered section except the engine is a mismatch between
   // the writing and restoring wiring — refuse rather than silently drop

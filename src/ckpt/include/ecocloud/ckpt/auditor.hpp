@@ -26,9 +26,9 @@
 /// behavior when the caches really were wrong — it is a repair action,
 /// not an observer.
 ///
-/// The auditor schedules nothing: its owner calls run_audit() at safe
-/// points between run slices (ShardedDailyRun's barriers, run-consolidation's
-/// slice loop), so auditing never changes the executed event sequence.
+/// The auditor schedules nothing: its owner calls run_audit() at the safe
+/// points where ckpt::SafePoints says an audit is due, between run slices,
+/// so auditing never changes the executed event sequence.
 
 #include <cstdint>
 #include <string>
@@ -38,7 +38,6 @@
 #include "ecocloud/dc/datacenter.hpp"
 #include "ecocloud/faults/recovery.hpp"
 #include "ecocloud/sim/simulator.hpp"
-#include "ecocloud/util/binio.hpp"
 
 namespace ecocloud::ckpt {
 
@@ -75,14 +74,9 @@ class RuntimeAuditor {
   /// applying the configured action; kAbort does not return on failure.
   std::vector<std::string> run_audit();
 
-  /// Checkpoint surface (the counters).
-  void save_state(util::BinWriter& w) const;
-  void load_state(util::BinReader& r);
-
   struct Stats {
     std::uint64_t audits_run = 0;
     std::uint64_t audits_failed = 0;
-    std::uint64_t failures_total = 0;  ///< Individual findings across audits.
     std::uint64_t heals_applied = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }

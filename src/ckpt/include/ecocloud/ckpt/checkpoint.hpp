@@ -31,6 +31,7 @@
 /// the campaign server's slices), so checkpointing never enters the event
 /// calendar and a checkpointed run executes the same events as a bare one.
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -42,6 +43,33 @@
 namespace ecocloud::ckpt {
 
 struct Snapshot;
+
+/// Observability of the snapshot writes of one run.
+struct SaveStats {
+  std::uint64_t checkpoints_written = 0;
+  std::uint64_t snapshot_bytes_last = 0;  ///< section payload bytes
+  double checkpoint_seconds_last = 0.0;   ///< wall time of the last write
+  double checkpoint_seconds_total = 0.0;
+};
+
+/// Write \p snapshot atomically to \p path and count it in \p stats: the
+/// wall time since \p started (when collecting its sections began) and the
+/// section payload bytes. Every snapshot writer goes through here.
+void write_counted(const Snapshot& snapshot, const std::string& path,
+                   std::chrono::steady_clock::time_point started, SaveStats& stats);
+
+/// The meta section every snapshot starts with: the config digest of the
+/// run that wrote it. check_meta throws SnapshotError naming \p path when
+/// the section is missing or carries another digest.
+void add_meta(Snapshot& snapshot, const std::string& digest);
+/// Decode section \p name of \p snapshot with \p load. A missing section
+/// or any decoding failure, trailing bytes included, throws SnapshotError
+/// naming \p path and the section.
+void load_section(const Snapshot& snapshot, const std::string& path,
+                  const std::string& name,
+                  const std::function<void(util::BinReader&)>& load);
+void check_meta(const Snapshot& snapshot, const std::string& path,
+                const std::string& digest);
 
 class CheckpointManager {
  public:
@@ -96,14 +124,7 @@ class CheckpointManager {
   /// Test hook: called after every successful save() with the path.
   std::function<void(const std::string&)> on_saved;
 
-  /// Observability of the checkpoint path itself.
-  struct Stats {
-    std::uint64_t checkpoints_written = 0;
-    std::uint64_t snapshot_bytes_last = 0;
-    double save_wall_seconds_last = 0.0;
-    double save_wall_seconds_total = 0.0;
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  [[nodiscard]] const SaveStats& stats() const { return stats_; }
 
   [[nodiscard]] bool restored() const { return restored_; }
 
@@ -124,7 +145,7 @@ class CheckpointManager {
   std::vector<Section> sections_;
   std::vector<std::pair<std::uint16_t, Owner>> owners_;
   std::string digest_;
-  Stats stats_;
+  SaveStats stats_;
   bool restored_ = false;
 };
 

@@ -6,12 +6,12 @@
 /// The simulator is single-threaded and cooperative: if a callback
 /// livelocks (or the calendar degenerates into a zero-advance event
 /// storm), the process spins forever with no output. Watchdog runs a
-/// tiny monitor thread that expects a beat() — delivered at the run's
-/// safe points (run-daily's epoch barriers, run-consolidation's slice
-/// boundaries) — at least every stall_seconds of *wall* time. A missed deadline emits a
-/// diagnostic report (last observed sim time, executed-event count, and
-/// how long the loop has been silent) to stderr and optionally a report
-/// file, then aborts so CI surfaces a backtrace instead of a timeout.
+/// tiny monitor thread that expects a beat() — delivered by
+/// ckpt::SafePoints at the run's safe points — at least every
+/// stall_seconds of *wall* time. A missed deadline writes a diagnostic
+/// report (last observed sim time, executed-event count, and how long the
+/// loop has been silent) to stderr, then exits with the stall code so CI
+/// sees a failure instead of a timeout.
 ///
 /// The monitor thread never touches simulator state: beat() publishes
 /// plain atomics and the thread reads only those. arm()/disarm() bracket
@@ -19,7 +19,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <thread>
 
 namespace ecocloud::ckpt {
@@ -29,8 +28,6 @@ class Watchdog {
   struct Config {
     /// Wall-clock seconds of event-loop silence tolerated while armed.
     double stall_seconds = 60.0;
-    /// Optional file that receives a copy of the stall report.
-    std::string report_path;
   };
 
   explicit Watchdog(Config config);

@@ -61,23 +61,15 @@ void Watchdog::report_stall(double silent_seconds) {
   const std::uint64_t executed = executed_.load(std::memory_order_relaxed);
   const double sim_now = std::bit_cast<double>(
       sim_now_bits_.load(std::memory_order_relaxed));
-  char report[512];
-  std::snprintf(report, sizeof(report),
-                "[watchdog] event loop stalled: no beat for %.1f s "
-                "(limit %.1f s)\n"
-                "[watchdog] last observed progress: sim_time=%.3f "
-                "executed_events=%llu\n"
-                "[watchdog] the loop is livelocked or an event storm is not "
-                "advancing sim time; exiting with the stall code\n",
-                silent_seconds, config_.stall_seconds, sim_now,
-                static_cast<unsigned long long>(executed));
-  std::fputs(report, stderr);
-  if (!config_.report_path.empty()) {
-    if (std::FILE* file = std::fopen(config_.report_path.c_str(), "w")) {
-      std::fputs(report, file);
-      std::fclose(file);
-    }
-  }
+  std::fprintf(stderr,
+               "[watchdog] event loop stalled: no beat for %.1f s "
+               "(limit %.1f s)\n"
+               "[watchdog] last observed progress: sim_time=%.3f "
+               "executed_events=%llu\n"
+               "[watchdog] the loop is livelocked or an event storm is not "
+               "advancing sim time; exiting with the stall code\n",
+               silent_seconds, config_.stall_seconds, sim_now,
+               static_cast<unsigned long long>(executed));
   // _Exit keeps the distinct exit code (abort would report SIGABRT) and
   // avoids running static destructors from the monitor thread while the
   // stalled simulation thread may still hold them.

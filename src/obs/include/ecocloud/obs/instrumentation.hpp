@@ -39,26 +39,6 @@
 
 namespace ecocloud::obs {
 
-/// Pull-mode snapshot of the robustness machinery (checkpoint manager +
-/// runtime auditor), supplied by a callback so obs stays decoupled from
-/// the ckpt module.
-struct RobustnessSample {
-  std::uint64_t checkpoints_written = 0;
-  std::uint64_t snapshot_bytes_last = 0;
-  double save_wall_seconds_total = 0.0;
-  std::uint64_t audits_run = 0;
-  std::uint64_t audits_failed = 0;
-  std::uint64_t heals_applied = 0;
-};
-
-/// Register the robustness metric family (ecocloud_checkpoint*_,
-/// ecocloud_audit*_) over \p sample, which is polled when an exporter
-/// reads \p registry. Shared by single-calendar instrumentation and the
-/// sharded coordinator, so both export the same series names.
-void register_robustness(MetricRegistry& registry,
-                         std::function<RobustnessSample()> sample,
-                         const Labels& labels = {});
-
 /// Identity of the shard an Instrumentation observes. A sharded run gives
 /// every shard its own Instrumentation over ONE shared registry: the
 /// shard label keeps the series apart, the pid offset keeps the trace
@@ -100,10 +80,6 @@ class Instrumentation {
   /// Register pull-mode metrics over the fault injector's resilience
   /// stats and redeploy queue.
   void attach_faults(const faults::FaultInjector& injector);
-
-  /// Register pull-mode metrics over the checkpoint/audit machinery.
-  /// \p sample is polled when an exporter reads the registry.
-  void attach_robustness(std::function<RobustnessSample()> sample);
 
   /// Flush the logger and, when tracing, sample the fleet counters onto
   /// the timeline. Called at safe points: the sharded coordinator's

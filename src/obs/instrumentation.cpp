@@ -520,38 +520,6 @@ void Instrumentation::attach_faults(const faults::FaultInjector& injector) {
       "Accumulated VM downtime attributed to faults");
 }
 
-void register_robustness(MetricRegistry& registry,
-                         std::function<RobustnessSample()> sample,
-                         const Labels& labels) {
-  const auto poll =
-      std::make_shared<std::function<RobustnessSample()>>(std::move(sample));
-  registry.counter_fn(
-      "ecocloud_checkpoints_written_total",
-      [poll] { return (*poll)().checkpoints_written; }, labels,
-      "Crash-safe snapshots written");
-  registry.gauge_fn(
-      "ecocloud_checkpoint_bytes_last",
-      [poll] { return static_cast<double>((*poll)().snapshot_bytes_last); },
-      labels, "Payload size of the most recent snapshot");
-  registry.gauge_fn(
-      "ecocloud_checkpoint_save_seconds_total",
-      [poll] { return (*poll)().save_wall_seconds_total; }, labels,
-      "Wall-clock time spent writing snapshots");
-  registry.counter_fn(
-      "ecocloud_audits_run_total", [poll] { return (*poll)().audits_run; },
-      labels, "Invariant audits executed");
-  registry.counter_fn(
-      "ecocloud_audits_failed_total", [poll] { return (*poll)().audits_failed; },
-      labels, "Invariant audits that found at least one violation");
-  registry.counter_fn(
-      "ecocloud_audit_heals_total", [poll] { return (*poll)().heals_applied; },
-      labels, "Cache-rebuild heal actions applied by the auditor");
-}
-
-void Instrumentation::attach_robustness(std::function<RobustnessSample()> sample) {
-  register_robustness(registry_, std::move(sample), labels({}));
-}
-
 void Instrumentation::flush_now(sim::SimTime now) {
   sample_trace_counters(now);
   logger_.flush();

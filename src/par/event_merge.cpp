@@ -1,9 +1,5 @@
 #include "ecocloud/par/event_merge.hpp"
 
-#include <ostream>
-
-#include "ecocloud/util/csv.hpp"
-
 namespace ecocloud::par {
 
 std::vector<metrics::Event> merge_event_streams(
@@ -39,11 +35,6 @@ void for_each_merged_event(
     emit(streams[best].translate ? streams[best].translate(raw) : raw);
     ++pos[best];
   }
-}
-
-void write_merged_events_csv(std::ostream& out,
-                             const std::vector<metrics::Event>& events) {
-  metrics::write_events_csv(out, events);
 }
 
 }  // namespace ecocloud::par

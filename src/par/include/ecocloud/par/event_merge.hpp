@@ -13,7 +13,6 @@
 /// ids happens per stream at emission via an optional callback.
 
 #include <functional>
-#include <iosfwd>
 #include <vector>
 
 #include "ecocloud/metrics/event_log.hpp"
@@ -38,10 +37,5 @@ struct EventStream {
 void for_each_merged_event(
     const std::vector<EventStream>& streams,
     const std::function<void(const metrics::Event&)>& emit);
-
-/// Write \p events in metrics::EventLog::write_csv's exact row format
-/// (header, precision, -1 sentinels) so K=1 reproduces its bytes.
-void write_merged_events_csv(std::ostream& out,
-                             const std::vector<metrics::Event>& events);
 
 }  // namespace ecocloud::par

@@ -28,6 +28,9 @@
 #include <string>
 #include <vector>
 
+#include "ecocloud/ckpt/auditor.hpp"
+#include "ecocloud/ckpt/checkpoint.hpp"
+#include "ecocloud/ckpt/safe_points.hpp"
 #include "ecocloud/metrics/collector.hpp"
 #include "ecocloud/metrics/event_log.hpp"
 #include "ecocloud/par/event_merge.hpp"
@@ -36,12 +39,6 @@
 #include "ecocloud/scenario/scenario.hpp"
 #include "ecocloud/util/phase_profiler.hpp"
 #include "ecocloud/util/thread_pool.hpp"
-
-namespace ecocloud::ckpt {
-class CheckpointManager;
-class RuntimeAuditor;
-class Watchdog;
-}  // namespace ecocloud::ckpt
 
 namespace ecocloud::par {
 
@@ -64,8 +61,9 @@ struct ParConfig {
       epoch_order = {};
 };
 
-/// Aggregate results of a sharded run (sums over shards + coordinator).
-struct ParStats {
+/// Aggregate results of a sharded run (sums over shards + coordinator). Every
+/// save_snapshot counts at once; the audit counters are folded in by finish().
+struct ParStats : ckpt::SaveStats, ckpt::AuditCounters {
   std::uint64_t executed_events = 0;
   std::uint64_t migrations = 0;      ///< intra-shard + cross-shard
   std::uint64_t low_migrations = 0;  ///< ditto
@@ -78,14 +76,6 @@ struct ParStats {
   std::uint64_t stranded_wishes = 0;   ///< wishes drained at barriers
   std::uint64_t handoff_attempts = 0;  ///< wishes still valid at the barrier
   std::uint64_t barriers = 0;
-  std::uint64_t audits_run = 0;       ///< barrier audit rounds
-  std::uint64_t audit_failures = 0;   ///< failed checks across all rounds
-  std::uint64_t audit_rounds_failed = 0;  ///< rounds with any failed check
-  std::uint64_t audit_heals = 0;      ///< heal actions, summed over shards
-  std::uint64_t checkpoints_written = 0;
-  std::uint64_t snapshot_bytes_last = 0;  ///< section payload bytes
-  double checkpoint_seconds_last = 0.0;   ///< wall time of the last write
-  double checkpoint_seconds_total = 0.0;
   double energy_joules = 0.0;
 };
 
@@ -129,9 +119,8 @@ class ShardedDailyRun {
   /// Restore a snapshot written by save_snapshot into this freshly constructed run (same
   /// config, same K, same sync interval — enforced via the stored digest; the thread
   /// count is free). The run then continues from the snapshot's barrier with
-  /// byte-identical output and counters. When config.run names no checkpoint cadence,
-  /// the snapshot's cadence is kept, and snapshots go to config.run.checkpoint_out or
-  /// back over \p path.
+  /// byte-identical output and counters. Without a cadence or a file of its own, it
+  /// keeps the snapshot's cadence and writes back over \p path (ckpt::SafePoints).
   void restore_snapshot(const std::string& path);
 
   [[nodiscard]] bool resumed() const { return resumed_; }
@@ -175,6 +164,8 @@ class ShardedDailyRun {
   }
 
   [[nodiscard]] const ParStats& stats() const { return stats_; }
+  /// The barrier schedule of audits, checkpoints and watchdog beats.
+  [[nodiscard]] const ckpt::SafePoints& safe_points() const { return safe_points_; }
   [[nodiscard]] double total_energy_kwh() const {
     return stats_.energy_joules / 3.6e6;
   }
@@ -219,10 +210,11 @@ class ShardedDailyRun {
   /// Digest stored in snapshots: the daily digest plus shard count and
   /// sync interval, so snapshots only restore into the same trajectory.
   [[nodiscard]] std::string config_digest() const;
-  /// Audits, checkpoint, watchdog beat, and the on_barrier hook — runs
-  /// serially after the hand-off with t_ already at the barrier time.
+  /// The safe point, then the on_barrier hook — serially after the hand-off,
+  /// with t_ already at the barrier time.
   void at_barrier();
-  void run_audits();
+  /// One audit round over every shard plus the cross-shard invariants.
+  void run_audits(ckpt::AuditRound& round);
   /// Cross-shard invariants: unique trace-row ownership, fleet capacity
   /// conservation, per-shard energy monotonicity.
   [[nodiscard]] std::vector<std::string> cross_shard_failures();
@@ -244,15 +236,8 @@ class ShardedDailyRun {
   /// Operability wiring (built on demand from config_.run).
   std::vector<std::unique_ptr<ckpt::CheckpointManager>> managers_;
   std::vector<std::unique_ptr<ckpt::RuntimeAuditor>> auditors_;
-  std::unique_ptr<ckpt::Watchdog> watchdog_;
   std::vector<double> last_energy_;  ///< per shard, for the monotonicity check
-  /// Checkpoint file (config_.run's, else the resumed one); empty when none are written.
-  std::string ckpt_path_;
-  /// Checkpoint cadence: config_.run's, or on a resume without one the
-  /// cadence stored in the snapshot.
-  sim::SimTime ckpt_every_s_ = 0.0;
-  double next_ckpt_due_ = 0.0;
-  double next_audit_due_ = 0.0;
+  ckpt::SafePoints safe_points_;
 
   /// Coordinator clock: the last completed barrier time. Persisted, so a
   /// resumed run continues the epoch loop exactly where the snapshot was

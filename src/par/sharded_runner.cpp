@@ -10,10 +10,7 @@
 #include <thread>
 #include <utility>
 
-#include "ecocloud/ckpt/auditor.hpp"
-#include "ecocloud/ckpt/checkpoint.hpp"
 #include "ecocloud/ckpt/snapshot_io.hpp"
-#include "ecocloud/ckpt/watchdog.hpp"
 #include "ecocloud/core/migration.hpp"
 #include "ecocloud/metrics/event_log_binary.hpp"
 #include "ecocloud/par/event_merge.hpp"
@@ -40,8 +37,7 @@ ShardedDailyRun::ShardedDailyRun(scenario::DailyConfig config, ParConfig par)
     : config_(std::move(config)),
       par_(std::move(par)),
       plan_(par_.shards, config_.fleet.num_servers, config_.num_vms),
-      ckpt_path_(config_.run.checkpoint_out),
-      ckpt_every_s_(config_.run.checkpoint_every_s) {
+      safe_points_(config_.run) {
   config_.params.validate();
   config_.faults.validate();
   util::require(par_.sync_interval_s > 0.0,
@@ -114,18 +110,18 @@ void ShardedDailyRun::save_snapshot(const std::string& path) {
   const auto t0 = std::chrono::steady_clock::now();
   ensure_managers();
   ckpt::Snapshot snapshot;
+  ckpt::add_meta(snapshot, config_digest());
   {
     util::BinWriter w;
-    w.str(config_digest());
-    snapshot.add("meta", w.take());
+    safe_points_.save_state(w);
+    snapshot.add("safe_points", w.take());
   }
   {
     // Coordinator state. Snapshots are written after barrier_handoff, so the wish queue
-    // is empty by construction; what remains is the epoch clock, the checkpoint cadence,
-    // the cross-shard accounting and the audit counters.
+    // is empty by construction; what remains is the epoch clock and the cross-shard
+    // accounting.
     util::BinWriter w;
     w.f64(t_);
-    w.f64(ckpt_every_s_);
     w.u64(stats_.barriers);
     w.u64(stats_.stranded_wishes);
     w.u64(stats_.handoff_attempts);
@@ -140,25 +136,12 @@ void ShardedDailyRun::save_snapshot(const std::string& path) {
       w.u64(static_cast<std::uint64_t>(e.server));
       w.boolean(e.is_high);
     }
-    w.u64(stats_.audits_run);
-    w.u64(stats_.audit_failures);
-    w.u64(stats_.audit_rounds_failed);
-    w.u64(stats_.audit_heals);
     snapshot.add("coordinator", w.take());
   }
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     managers_[k]->collect(snapshot, shard_prefix(k));
   }
-  ckpt::write_snapshot_file(snapshot, path);
-  ++stats_.checkpoints_written;
-  stats_.snapshot_bytes_last = 0;
-  for (const ckpt::SnapshotSection& section : snapshot.sections) {
-    stats_.snapshot_bytes_last += section.payload.size();
-  }
-  stats_.checkpoint_seconds_last = std::chrono::duration<double>(
-                                       std::chrono::steady_clock::now() - t0)
-                                       .count();
-  stats_.checkpoint_seconds_total += stats_.checkpoint_seconds_last;
+  ckpt::write_counted(snapshot, path, t0, stats_);
   if (on_checkpoint) on_checkpoint(path);
 }
 
@@ -167,40 +150,14 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
   util::require(!resumed_, "ShardedDailyRun: restore_snapshot called twice");
   ensure_managers();
   const ckpt::Snapshot snapshot = ckpt::read_snapshot_file(path);
+  ckpt::check_meta(snapshot, path, config_digest());
 
-  const ckpt::SnapshotSection* meta = snapshot.find("meta");
-  if (meta == nullptr) {
-    throw ckpt::SnapshotError("snapshot: '" + path + "' has no meta section");
-  }
-  {
-    util::BinReader r(meta->payload);
-    const std::string stored = r.str();
-    r.expect_exhausted("meta");
-    if (stored != config_digest()) {
-      throw ckpt::SnapshotError(
-          "snapshot: '" + path +
-          "' was written for a different configuration\n  stored:  " + stored +
-          "\n  current: " + config_digest());
-    }
-  }
-
-  const ckpt::SnapshotSection* coord = snapshot.find("coordinator");
-  if (coord == nullptr) {
-    throw ckpt::SnapshotError("snapshot: '" + path +
-                              "' has no coordinator section");
-  }
   // Any decoding failure, including a section of an older layout, is a
   // snapshot error naming the file.
-  try {
-    util::BinReader r(coord->payload);
+  ckpt::load_section(snapshot, path, "safe_points",
+                     [this](util::BinReader& r) { safe_points_.load_state(r); });
+  ckpt::load_section(snapshot, path, "coordinator", [this](util::BinReader& r) {
     t_ = r.f64();
-    const double stored_every = r.f64();
-    if (!(stored_every >= 0.0) || !std::isfinite(stored_every)) {
-      throw std::runtime_error("invalid checkpoint cadence");
-    }
-    // A resume without --checkpoint-every keeps the original cadence, so
-    // a campaign that crashes again still has recent snapshots.
-    if (ckpt_every_s_ <= 0.0) ckpt_every_s_ = stored_every;
     stats_.barriers = r.u64();
     stats_.stranded_wishes = r.u64();
     stats_.handoff_attempts = r.u64();
@@ -220,17 +177,9 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
       e.server = static_cast<dc::ServerId>(r.u64());
       e.is_high = r.boolean();
     }
-    stats_.audits_run = r.u64();
-    stats_.audit_failures = r.u64();
-    stats_.audit_rounds_failed = r.u64();
-    stats_.audit_heals = r.u64();
-    r.expect_exhausted("coordinator");
-  } catch (const std::runtime_error& error) {
-    throw ckpt::SnapshotError("snapshot: '" + path +
-                              "' coordinator section: " + error.what());
-  }
+  });
 
-  std::size_t expected = 2;  // meta + coordinator
+  std::size_t expected = 3;  // meta + safe_points + coordinator
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     managers_[k]->restore_from(snapshot, shard_prefix(k), path);
     expected += managers_[k]->num_sections() + 1;  // sections + engine
@@ -254,7 +203,7 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
       shard->adopt_trace_row(row, *shards_[plan_.shard_of_trace(row)]);
     }
   }
-  if (ckpt_path_.empty()) ckpt_path_ = path;
+  safe_points_.resume_from(path);
   resumed_ = true;
 }
 
@@ -273,22 +222,15 @@ void ShardedDailyRun::start() {
   // Operability wiring from config_.run. All of it is barrier-driven —
   // none of it schedules calendar events — so enabling checkpoints,
   // audits, or the watchdog never perturbs the simulated trajectory.
-  const scenario::RunControl& rc = config_.run;
-  if (!ckpt_path_.empty() && ckpt_every_s_ > 0.0) {
-    next_ckpt_due_ = sim::next_due(t_, ckpt_every_s_);
-  } else {
-    ckpt_path_.clear();
-  }
-  if (rc.audit_every_s > 0.0) {
-    const ckpt::AuditAction action = ckpt::parse_audit_action(rc.audit_action);
+  const ckpt::RunControl& rc = safe_points_.control();
+  if (safe_points_.auditing()) {
+    // Handed-off VMs are departed (unowned) on their source shard, so strict
+    // ownership only holds for K=1.
+    const ckpt::AuditorConfig ac{.action = ckpt::parse_audit_action(rc.audit_action),
+                                 .tolerance = rc.audit_tolerance,
+                                 .strict_vm_accounting = rc.audit_strict && K == 1};
     auditors_.reserve(K);
     for (auto& shard : shards_) {
-      ckpt::AuditorConfig ac;
-      ac.action = action;
-      ac.tolerance = rc.audit_tolerance;
-      // Handed-off VMs are departed (unowned) on their source shard, so
-      // strict ownership only holds for K=1.
-      ac.strict_vm_accounting = rc.audit_strict && K == 1;
       auto auditor = std::make_unique<ckpt::RuntimeAuditor>(
           shard->simulator(), shard->datacenter(), ac);
       auditor->attach_controller(&shard->controller());
@@ -298,11 +240,6 @@ void ShardedDailyRun::start() {
       auditors_.push_back(std::move(auditor));
     }
     last_energy_.assign(K, 0.0);
-    next_audit_due_ = sim::next_due(t_, rc.audit_every_s);
-  }
-  if (rc.watchdog_stall_s > 0.0) {
-    watchdog_ = std::make_unique<ckpt::Watchdog>(
-        ckpt::Watchdog::Config{rc.watchdog_stall_s, {}});
   }
   last_epoch_wall_s_.assign(K, 0.0);
   last_barrier_lag_s_.assign(K, 0.0);
@@ -337,7 +274,7 @@ void ShardedDailyRun::start() {
     for (auto& shard : shards_) shard->daily().start_services();
   }
 
-  if (watchdog_) watchdog_->arm();
+  safe_points_.start(t_);
 }
 
 bool ShardedDailyRun::run_slice(sim::SimTime until) {
@@ -416,7 +353,7 @@ void ShardedDailyRun::finish() {
   util::require(started_ && !finished_ && t_ >= config_.horizon_s,
                 "ShardedDailyRun::finish before the horizon or twice");
   finished_ = true;
-  if (watchdog_) watchdog_->disarm();
+  safe_points_.finish();
   for (auto& shard : shards_) shard->daily().finish();
 
   stats_.executed_events = executed_events();
@@ -435,6 +372,7 @@ void ShardedDailyRun::finish() {
   stats_.migrations += stats_.cross_shard_migrations;
   stats_.low_migrations += cross_low_;
   stats_.high_migrations += cross_high_;
+  static_cast<ckpt::AuditCounters&>(stats_) = safe_points_.audits();
 }
 
 std::uint64_t ShardedDailyRun::executed_events() const {
@@ -590,34 +528,20 @@ std::vector<metrics::Sample> ShardedDailyRun::merged_samples() const {
 }
 
 void ShardedDailyRun::at_barrier() {
-  if (!auditors_.empty() && t_ >= next_audit_due_) {
-    run_audits();
-    next_audit_due_ = sim::next_due(t_, config_.run.audit_every_s);
-  }
-  if (!ckpt_path_.empty() && t_ >= next_ckpt_due_) {
-    save_snapshot(ckpt_path_);
-    next_ckpt_due_ = sim::next_due(t_, ckpt_every_s_);
-  }
-  if (watchdog_) watchdog_->beat(executed_events(), t_);
+  safe_points_.at(
+      t_, executed_events(), [this](ckpt::AuditRound& round) { run_audits(round); },
+      [this](const std::string& path) { save_snapshot(path); });
   if (on_barrier) on_barrier(t_);
 }
 
-void ShardedDailyRun::run_audits() {
-  ++stats_.audits_run;
-  const std::uint64_t failures_before = stats_.audit_failures;
+void ShardedDailyRun::run_audits(ckpt::AuditRound& round) {
   // Per-shard invariants first (calendar integrity, fleet accounting, VM ownership vs
   // controller/redeploy tracking) — each shard's auditor applies the configured action
-  // itself (log/heal/abort). Heals add up per round: a resume rebuilds the auditors and
-  // restores the counters from the snapshot.
-  for (auto& auditor : auditors_) {
-    const std::uint64_t heals_before = auditor->stats().heals_applied;
-    if (!auditor->run_audit().empty()) ++stats_.audit_failures;
-    stats_.audit_heals += auditor->stats().heals_applied - heals_before;
-  }
+  // itself (log/heal/abort).
+  for (auto& auditor : auditors_) ckpt::audit_into(*auditor, round);
   // Then the invariants no single shard can see.
   const std::vector<std::string> cross = cross_shard_failures();
-  stats_.audit_failures += cross.size();
-  if (stats_.audit_failures != failures_before) ++stats_.audit_rounds_failed;
+  round.failed_checks += cross.size();
   if (cross.empty()) return;
   std::fprintf(stderr, "[audit] t=%.3f: %zu cross-shard violation(s):\n", t_,
                cross.size());
@@ -720,7 +644,7 @@ std::vector<metrics::Event> ShardedDailyRun::merged_events() const {
 }
 
 void ShardedDailyRun::write_events_csv(std::ostream& out) const {
-  write_merged_events_csv(out, merged_events());
+  metrics::write_events_csv(out, merged_events());
 }
 
 void ShardedDailyRun::write_events_binary(std::ostream& out) const {

@@ -83,12 +83,14 @@ ShardedTelemetry::ShardedTelemetry(ShardedDailyRun& run, Options options)
       "ecocloud_par_cross_shard_migrations_total",
       [stats] { return stats->cross_shard_migrations; }, {},
       "VMs transferred between shards at barriers");
+  const ckpt::SafePoints* points = &run_.safe_points();
   registry_.counter_fn(
-      "ecocloud_par_audits_run_total", [stats] { return stats->audits_run; },
-      {}, "Barrier audit rounds executed");
+      "ecocloud_par_audits_run_total",
+      [points] { return points->audits().audits_run; }, {},
+      "Barrier audit rounds executed");
   registry_.counter_fn(
       "ecocloud_par_audit_failures_total",
-      [stats] { return stats->audit_failures; }, {},
+      [points] { return points->audits().audit_failures; }, {},
       "Failed audit checks (per-shard and cross-shard) across all rounds");
   registry_.counter_fn(
       "ecocloud_par_checkpoints_written_total",
@@ -97,18 +99,9 @@ ShardedTelemetry::ShardedTelemetry(ShardedDailyRun& run, Options options)
 
   // The checkpoint/audit family under the single-calendar names, when the
   // run checkpoints or audits at all.
-  const scenario::RunControl& rc = run_.config().run;
-  if (run_.resumed() || !rc.checkpoint_out.empty() || rc.audit_every_s > 0.0) {
-    obs::register_robustness(registry_, [stats] {
-      obs::RobustnessSample sample;
-      sample.checkpoints_written = stats->checkpoints_written;
-      sample.snapshot_bytes_last = stats->snapshot_bytes_last;
-      sample.save_wall_seconds_total = stats->checkpoint_seconds_total;
-      sample.audits_run = stats->audits_run;
-      sample.audits_failed = stats->audit_rounds_failed;
-      sample.heals_applied = stats->audit_heals;
-      return sample;
-    });
+  if (points->active()) {
+    ckpt::register_robustness(
+        registry_, [stats] { return ckpt::SaveStats(*stats); }, *points);
   }
 
   // Barrier-driven flush, chained so an existing hook keeps firing.

@@ -74,7 +74,7 @@ void load_faults(const util::KeyValueConfig& kv, faults::FaultParams& params) {
   params.validate();
 }
 
-void load_run_control(const util::KeyValueConfig& kv, RunControl& run) {
+void load_run_control(const util::KeyValueConfig& kv, ckpt::RunControl& run) {
   run.checkpoint_out = kv.get_string("checkpoint.out", run.checkpoint_out);
   run.checkpoint_every_s =
       kv.get_double("checkpoint.every_s", run.checkpoint_every_s);

@@ -35,7 +35,7 @@ namespace ecocloud::scenario {
 /// A `[checkpoint]` section (out, every_s), an `[audit]` section
 /// (every_s, action = log|abort|heal, tolerance, strict) and a
 /// `[watchdog]` section (stall_s) configure the robustness machinery
-/// (RunControl); all disabled by default.
+/// (ckpt::RunControl); all disabled by default.
 [[nodiscard]] DailyConfig load_daily_config(std::istream& in);
 
 /// Keys: servers, cores_per_server, core_mhz, initial_vms, horizon_hours,

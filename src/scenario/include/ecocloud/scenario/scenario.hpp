@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "ecocloud/baseline/centralized_controller.hpp"
+#include "ecocloud/ckpt/safe_points.hpp"
 #include "ecocloud/net/topology.hpp"
 #include "ecocloud/core/controller.hpp"
 #include "ecocloud/core/open_system.hpp"
@@ -33,35 +34,6 @@ class CheckpointManager;
 }
 
 namespace ecocloud::scenario {
-
-/// Robustness knobs shared by both experiments: periodic crash-safe
-/// checkpoints, the runtime invariant auditor, and the wall-clock
-/// watchdog, all run at safe points between run slices. Parsed from
-/// `[checkpoint]` / `[audit]` / `[watchdog]` config sections (config_io)
-/// and overridable from the CLI. Not part of the config digest: none of
-/// them changes the executed events, so resuming with different cadences
-/// or output paths is safe.
-struct RunControl {
-  /// Snapshot file written every checkpoint_every_s of sim time. Empty
-  /// disables periodic checkpointing.
-  std::string checkpoint_out;
-  sim::SimTime checkpoint_every_s = 0.0;
-
-  /// Invariant-audit cadence; 0 disables the auditor.
-  sim::SimTime audit_every_s = 0.0;
-  /// "log" | "abort" | "heal" (ckpt::parse_audit_action).
-  std::string audit_action = "log";
-  /// Relative tolerance of the floating-point conservation checks.
-  double audit_tolerance = 1e-6;
-  /// Require every live VM to be owned exactly once. On by default for
-  /// the daily scenario; the consolidation scenario's departed VMs are
-  /// legitimately unowned, so its loader defaults this to false.
-  bool audit_strict = true;
-
-  /// Wall-clock seconds of event-loop silence before the watchdog aborts
-  /// with a diagnostic; 0 disables the watchdog.
-  double watchdog_stall_s = 0.0;
-};
 
 /// Fleet mix of the Sec. III experiment.
 struct FleetConfig {
@@ -110,7 +82,7 @@ struct DailyConfig {
   /// paths; see src/faults. ecoCloud only.
   faults::FaultParams faults;
   /// Checkpoint/audit/watchdog wiring (not part of the config digest).
-  RunControl run;
+  ckpt::RunControl run;
 };
 
 /// Which algorithm drives the daily scenario.
@@ -289,7 +261,7 @@ struct ConsolidationConfig {
   /// Metrics sampling period (finer than 30 min to resolve the transient).
   sim::SimTime sample_period_s = 900.0;
   /// Checkpoint/audit/watchdog wiring (not part of the config digest).
-  RunControl run;
+  ckpt::RunControl run;
 };
 
 /// The migration-free consolidation experiment with open arrivals.

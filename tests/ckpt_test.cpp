@@ -2,7 +2,8 @@
 // rejection of corrupted/foreign files, bit-identical resume of both
 // scenarios (event log bytes, metric samples and every accumulated
 // aggregate), the consistency rules that refuse to resume into different
-// wiring, and the runtime invariant auditor + watchdog.
+// wiring, the safe-point schedule, and the runtime invariant auditor +
+// watchdog.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -19,6 +21,7 @@
 
 #include "ecocloud/ckpt/auditor.hpp"
 #include "ecocloud/ckpt/checkpoint.hpp"
+#include "ecocloud/ckpt/safe_points.hpp"
 #include "ecocloud/ckpt/snapshot_io.hpp"
 #include "ecocloud/ckpt/watchdog.hpp"
 #include "ecocloud/metrics/event_log.hpp"
@@ -978,21 +981,121 @@ TEST(Auditor, HealRepairsOnlyDerivableState) {
   EXPECT_EQ(daily.datacenter().heal_caches(), 0u);  // caches were never wrong
 }
 
-TEST(Auditor, StateSurvivesCheckpointRoundTrip) {
-  sim::Simulator sim;
-  dc::DataCenter dc;
-  ckpt::AuditorConfig audit;
-  ckpt::RuntimeAuditor auditor(sim, dc, audit);
-  (void)auditor.run_audit();
-  (void)auditor.run_audit();
+// --- Safe-point schedule -----------------------------------------------------
+
+TEST(SafePoints, DueTimesFollowTheCadenceFromStartAndFromARestoredClock) {
+  ckpt::RunControl control;
+  control.checkpoint_out = "run.ckpt";
+  control.checkpoint_every_s = 900.0;
+  control.audit_every_s = 900.0;
+
+  ckpt::SafePoints fresh(control);
+  fresh.start(0.0);
+  EXPECT_EQ(fresh.next_audit_due(), 900.0);
+  EXPECT_EQ(fresh.next_checkpoint_due(), 900.0);
+
+  // A restored clock re-arms at the first multiple strictly after it.
+  ckpt::SafePoints restored(control);
+  restored.start(1234.0);
+  EXPECT_EQ(restored.next_audit_due(), 1800.0);
+  EXPECT_EQ(restored.next_checkpoint_due(), 1800.0);
+
+  // Nothing is due before 1800 s; at 1800 s both run once and move on.
+  int audits = 0;
+  std::vector<std::string> saved;
+  const ckpt::SafePoints::AuditFn audit = [&audits](ckpt::AuditRound&) { ++audits; };
+  const ckpt::SafePoints::SaveFn save = [&saved](const std::string& path) {
+    saved.push_back(path);
+  };
+  restored.at(1500.0, 0, audit, save);
+  EXPECT_EQ(audits, 0);
+  EXPECT_TRUE(saved.empty());
+  restored.at(1800.0, 0, audit, save);
+  EXPECT_EQ(audits, 1);
+  EXPECT_EQ(saved, std::vector<std::string>{"run.ckpt"});
+  EXPECT_EQ(restored.next_audit_due(), 2700.0);
+  EXPECT_EQ(restored.next_checkpoint_due(), 2700.0);
+
+  // Disabled features are never due.
+  ckpt::SafePoints bare(ckpt::RunControl{});
+  bare.start(0.0);
+  EXPECT_TRUE(std::isinf(bare.next_audit_due()));
+  EXPECT_TRUE(std::isinf(bare.next_checkpoint_due()));
+  EXPECT_FALSE(bare.active());
+}
+
+TEST(SafePoints, StoredCadenceIsTakenOnlyWhenNoneIsGiven) {
+  ckpt::RunControl writer_control;
+  writer_control.checkpoint_out = "run.ckpt";
+  writer_control.checkpoint_every_s = 900.0;
+  util::BinWriter w;
+  ckpt::SafePoints(writer_control).save_state(w);
+
+  ckpt::SafePoints keeps(ckpt::RunControl{});
+  util::BinReader r1(w.buffer());
+  keeps.load_state(r1);
+  EXPECT_EQ(keeps.control().checkpoint_every_s, 900.0);
+
+  ckpt::RunControl given;
+  given.checkpoint_every_s = 600.0;
+  ckpt::SafePoints overrides(given);
+  util::BinReader r2(w.buffer());
+  overrides.load_state(r2);
+  EXPECT_EQ(overrides.control().checkpoint_every_s, 600.0);
+}
+
+TEST(SafePoints, CheckpointPathFallsBackToTheResumedFile) {
+  ckpt::SafePoints fallback(ckpt::RunControl{});
+  EXPECT_TRUE(fallback.checkpoint_path().empty());
+  fallback.resume_from("resumed.ckpt");
+  EXPECT_EQ(fallback.checkpoint_path(), "resumed.ckpt");
+  EXPECT_TRUE(fallback.active());
+
+  ckpt::RunControl control;
+  control.checkpoint_out = "out.ckpt";
+  ckpt::SafePoints named(control);
+  named.resume_from("resumed.ckpt");
+  EXPECT_EQ(named.checkpoint_path(), "out.ckpt");
+}
+
+TEST(SafePoints, AuditCountersSurviveASaveLoadRoundTrip) {
+  ckpt::RunControl control;
+  control.audit_every_s = 900.0;
+  ckpt::SafePoints points(control);
+  points.start(0.0);
+  const ckpt::SafePoints::SaveFn no_save = [](const std::string&) {
+    FAIL() << "no checkpoint is configured";
+  };
+  // A failed round with two failed checks and a heal, then a clean one.
+  points.at(900.0, 0, [](ckpt::AuditRound& round) { round = {2, 1}; }, no_save);
+  points.at(1800.0, 0, [](ckpt::AuditRound&) {}, no_save);
+  const ckpt::AuditCounters& want = points.audits();
+  EXPECT_EQ(want.audits_run, 2u);
+  EXPECT_EQ(want.audit_failures, 2u);
+  EXPECT_EQ(want.audit_rounds_failed, 1u);
+  EXPECT_EQ(want.audit_heals, 1u);
 
   util::BinWriter w;
-  auditor.save_state(w);
-  ckpt::RuntimeAuditor restored(sim, dc, audit);
+  points.save_state(w);
+  ckpt::SafePoints restored(ckpt::RunControl{});
   util::BinReader r(w.buffer());
   restored.load_state(r);
-  EXPECT_EQ(restored.stats().audits_run, 2u);
-  EXPECT_EQ(restored.stats().audits_failed, auditor.stats().audits_failed);
+  r.expect_exhausted("safe_points");
+  EXPECT_EQ(restored.audits().audits_run, want.audits_run);
+  EXPECT_EQ(restored.audits().audit_failures, want.audit_failures);
+  EXPECT_EQ(restored.audits().audit_rounds_failed, want.audit_rounds_failed);
+  EXPECT_EQ(restored.audits().audit_heals, want.audit_heals);
+}
+
+TEST(SafePoints, RefusesANanOrNegativeStoredCadence) {
+  for (const double cadence : {std::nan(""), -900.0}) {
+    util::BinWriter w;
+    w.f64(cadence);
+    for (int i = 0; i < 4; ++i) w.u64(0);
+    ckpt::SafePoints points(ckpt::RunControl{});
+    util::BinReader r(w.buffer());
+    EXPECT_THROW(points.load_state(r), std::runtime_error) << cadence;
+  }
 }
 
 // --- Watchdog ----------------------------------------------------------------

@@ -739,10 +739,11 @@ TEST(ShardedDailyRun, RejectsCorruptCoordinatorSectionCleanly) {
   source.save_snapshot(good);
   const ckpt::Snapshot original = ckpt::read_snapshot_file(good);
 
-  const auto restore_with = [&](const std::string& payload) {
+  const auto restore_with = [&](const std::string& payload,
+                                const std::string& section = "coordinator") {
     ckpt::Snapshot snapshot;
     for (const ckpt::SnapshotSection& s : original.sections) {
-      snapshot.add(s.name, s.name == "coordinator" ? payload : s.payload);
+      snapshot.add(s.name, s.name == section ? payload : s.payload);
     }
     ckpt::write_snapshot_file(snapshot, bad);
     par::ShardedDailyRun target(config, {.shards = 2, .threads = 1});
@@ -754,15 +755,16 @@ TEST(ShardedDailyRun, RejectsCorruptCoordinatorSectionCleanly) {
   // event count no payload could hold are both refused, not half-applied.
   EXPECT_THROW(restore_with(payload + '\0'), ckpt::SnapshotError);
   util::BinWriter huge;
-  for (int i = 0; i < 8; ++i) huge.u64(0);  // clock, cadence, counters
+  for (int i = 0; i < 7; ++i) huge.u64(0);  // clock, counters
   huge.u64(std::uint64_t{1} << 60);         // coordinator event count
   EXPECT_THROW(restore_with(huge.take()), ckpt::SnapshotError);
-  // A cadence no run could have written.
-  std::string negative_cadence = payload;
+  // A cadence no run could have written (the safe_points section leads
+  // with it).
+  std::string negative_cadence = original.find("safe_points")->payload;
   util::BinWriter cadence;
   cadence.f64(-1.0);
-  negative_cadence.replace(8, 8, cadence.take());
-  EXPECT_THROW(restore_with(negative_cadence), ckpt::SnapshotError);
+  negative_cadence.replace(0, 8, cadence.take());
+  EXPECT_THROW(restore_with(negative_cadence, "safe_points"), ckpt::SnapshotError);
 
   std::remove(good.c_str());
   std::remove(bad.c_str());
@@ -1000,7 +1002,7 @@ TEST(EventMerge, CsvMatchesEventLogFormat) {
       {0.125, EventKind::kActivation, dc::kNoVm, 3, false},
       {7.5, EventKind::kMigrationStart, 42, 1, true}};
   std::ostringstream out;
-  par::write_merged_events_csv(out, rows);
+  metrics::write_events_csv(out, rows);
   const std::string csv = out.str();
   EXPECT_NE(csv.find("time_s,kind,vm,server,is_high"), std::string::npos);
   EXPECT_NE(csv.find(",-1,3,"), std::string::npos);  // kNoVm -> -1
